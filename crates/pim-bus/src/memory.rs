@@ -40,24 +40,43 @@ impl SharedMemory {
     /// Writes the word at `addr`.
     pub fn write(&mut self, addr: Addr, value: Word) {
         let (page, offset) = split(addr);
-        self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0; PAGE_WORDS]))[offset] = value;
+        self.page_mut(page)[offset] = value;
     }
 
     /// Reads `block.len()` consecutive words starting at `base` into
-    /// `block` (a cache block fill).
+    /// `block` (a cache block fill). A block within one page (every
+    /// aligned cache block) costs one page lookup.
     pub fn read_block(&self, base: Addr, block: &mut [Word]) {
+        let (page, offset) = split(base);
+        if offset + block.len() <= PAGE_WORDS {
+            match self.pages.get(&page) {
+                Some(p) => block.copy_from_slice(&p[offset..offset + block.len()]),
+                None => block.fill(0),
+            }
+            return;
+        }
         for (i, slot) in block.iter_mut().enumerate() {
             *slot = self.read(base + i as Addr);
         }
     }
 
-    /// Writes `block` to consecutive words starting at `base` (a swap-out).
+    /// Writes `block` to consecutive words starting at `base` (a
+    /// swap-out). A block within one page costs one page lookup.
     pub fn write_block(&mut self, base: Addr, block: &[Word]) {
+        let (page, offset) = split(base);
+        if offset + block.len() <= PAGE_WORDS {
+            self.page_mut(page)[offset..offset + block.len()].copy_from_slice(block);
+            return;
+        }
         for (i, &w) in block.iter().enumerate() {
             self.write(base + i as Addr, w);
         }
+    }
+
+    fn page_mut(&mut self, page: u64) -> &mut [Word; PAGE_WORDS] {
+        self.pages
+            .entry(page)
+            .or_insert_with(|| Box::new([0; PAGE_WORDS]))
     }
 
     /// Number of resident pages (for memory-footprint diagnostics).
@@ -139,6 +158,23 @@ mod tests {
         let mut out = [0; 4];
         mem.read_block(base, &mut out);
         assert_eq!(out, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn block_ops_within_a_page_match_word_ops() {
+        let mut mem = SharedMemory::new();
+        let mut out = [9; 4];
+        mem.read_block(8, &mut out);
+        assert_eq!(out, [0; 4], "unwritten block reads zero");
+        mem.write_block(8, &[1, 2, 3, 4]);
+        assert_eq!(
+            (8..12).map(|a| mem.read(a)).collect::<Vec<_>>(),
+            [1, 2, 3, 4]
+        );
+        mem.write(10, 7);
+        mem.read_block(8, &mut out);
+        assert_eq!(out, [1, 2, 7, 4]);
+        assert_eq!(mem.resident_pages(), 1);
     }
 
     #[test]

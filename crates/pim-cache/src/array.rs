@@ -3,15 +3,6 @@
 use crate::{BlockState, CacheGeometry};
 use pim_trace::{Addr, Word};
 
-/// One cache line: tag, state, data words, and an LRU timestamp.
-#[derive(Debug, Clone)]
-struct Line {
-    tag: u64,
-    state: BlockState,
-    data: Box<[Word]>,
-    last_used: u64,
-}
-
 /// Fill pattern for words of a direct-written block that were never
 /// written. Reading one back indicates a violated `DW` software contract,
 /// which the protocol layer surfaces as a statistic.
@@ -23,10 +14,20 @@ pub const DW_POISON: Word = 0xDEAD_BEEF_DEAD_BEEF;
 /// evicts blocks, and tracks LRU — all *decisions* (what to fetch, whom to
 /// invalidate, what a transaction costs) live in
 /// [`crate::protocol::PimSystem`].
+///
+/// Storage is structure-of-arrays: line `i` (set `i / ways`, way
+/// `i % ways`) has its tag, state and LRU stamp at index `i` of three
+/// dense arrays, and its words at `data[i * block_words..][..block_words]`
+/// of one contiguous buffer. Nothing is allocated after construction:
+/// fills read from a caller's slice, dirty victims are written into a
+/// caller's buffer, and [`CacheArray::block`] lends a slice.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     geometry: CacheGeometry,
-    lines: Vec<Line>,
+    tags: Vec<u64>,
+    states: Vec<BlockState>,
+    last_used: Vec<u64>,
+    data: Vec<Word>,
     clock: u64,
     /// When set, hit-path mutations append reversal records to `log` so a
     /// speculative run can be rolled back (parallel-engine support). The
@@ -60,32 +61,34 @@ enum UndoRec {
     StateOnly { line: u32, state: BlockState },
 }
 
-/// Result of choosing a victim for a fill.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The valid line a fill displaced, as returned by
+/// [`CacheArray::install`]. A dirty victim's words are not carried here:
+/// `install` writes them into the caller's victim buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
     /// Base address of the evicted block.
     pub base: Addr,
     /// Its state at eviction (dirty states require a swap-out).
     pub state: BlockState,
-    /// The evicted data (valid if `state.is_dirty()`).
-    pub data: Vec<Word>,
 }
 
 impl CacheArray {
     /// Creates an empty (all-invalid) cache of the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry fails [`CacheGeometry::validate`].
     pub fn new(geometry: CacheGeometry) -> CacheArray {
-        let count = (geometry.sets * geometry.ways) as usize;
-        let lines = (0..count)
-            .map(|_| Line {
-                tag: 0,
-                state: BlockState::Inv,
-                data: vec![0; geometry.block_words as usize].into_boxed_slice(),
-                last_used: 0,
-            })
-            .collect();
+        if let Err(e) = geometry.validate() {
+            panic!("bad cache geometry: {e}");
+        }
+        let lines = (geometry.sets * geometry.ways) as usize;
         CacheArray {
             geometry,
-            lines,
+            tags: vec![0; lines],
+            states: vec![BlockState::Inv; lines],
+            last_used: vec![0; lines],
+            data: vec![0; lines * geometry.block_words as usize],
             clock: 0,
             speculative: false,
             log: Vec::new(),
@@ -117,7 +120,7 @@ impl CacheArray {
                     last_used,
                     clock,
                 } => {
-                    self.lines[line as usize].last_used = last_used;
+                    self.last_used[line as usize] = last_used;
                     self.clock = clock;
                 }
                 UndoRec::Write {
@@ -128,14 +131,15 @@ impl CacheArray {
                     last_used,
                     clock,
                 } => {
-                    let l = &mut self.lines[line as usize];
-                    l.data[offset as usize] = word;
-                    l.state = state;
-                    l.last_used = last_used;
+                    let i = line as usize;
+                    let at = self.word_index(i, u64::from(offset));
+                    self.data[at] = word;
+                    self.states[i] = state;
+                    self.last_used[i] = last_used;
                     self.clock = clock;
                 }
                 UndoRec::StateOnly { line, state } => {
-                    self.lines[line as usize].state = state;
+                    self.states[line as usize] = state;
                 }
             }
         }
@@ -159,14 +163,23 @@ impl CacheArray {
     fn find(&self, addr: Addr) -> Option<usize> {
         let (tag, set, _) = self.geometry.decompose(addr);
         self.set_range(set)
-            .find(|&i| self.lines[i].state.is_valid() && self.lines[i].tag == tag)
+            .find(|&i| self.tags[i] == tag && self.states[i].is_valid())
+    }
+
+    /// Index into `data` of word `offset` of line `line`.
+    fn word_index(&self, line: usize, offset: u64) -> usize {
+        line * self.geometry.block_words as usize + offset as usize
+    }
+
+    fn line_words(&self, line: usize) -> std::ops::Range<usize> {
+        let start = self.word_index(line, 0);
+        start..start + self.geometry.block_words as usize
     }
 
     /// The state of the block containing `addr` ([`BlockState::Inv`] if
     /// absent).
     pub fn state_of(&self, addr: Addr) -> BlockState {
-        self.find(addr)
-            .map_or(BlockState::Inv, |i| self.lines[i].state)
+        self.find(addr).map_or(BlockState::Inv, |i| self.states[i])
     }
 
     /// Whether the block containing `addr` is resident.
@@ -180,38 +193,37 @@ impl CacheArray {
         if self.speculative {
             self.log.push(UndoRec::Touch {
                 line: i as u32,
-                last_used: self.lines[i].last_used,
+                last_used: self.last_used[i],
                 clock: self.clock,
             });
         }
         self.touch(i);
         let (_, _, offset) = self.geometry.decompose(addr);
-        Some(self.lines[i].data[offset as usize])
+        Some(self.data[self.word_index(i, offset)])
     }
 
     /// Writes the word at `addr` if resident, bumping LRU and moving the
     /// state to `new_state` (the protocol decides the state).
     pub fn write(&mut self, addr: Addr, value: Word, new_state: BlockState) -> bool {
-        match self.find(addr) {
-            Some(i) => {
-                let (_, _, offset) = self.geometry.decompose(addr);
-                if self.speculative {
-                    self.log.push(UndoRec::Write {
-                        line: i as u32,
-                        offset: offset as u32,
-                        word: self.lines[i].data[offset as usize],
-                        state: self.lines[i].state,
-                        last_used: self.lines[i].last_used,
-                        clock: self.clock,
-                    });
-                }
-                self.touch(i);
-                self.lines[i].data[offset as usize] = value;
-                self.lines[i].state = new_state;
-                true
-            }
-            None => false,
+        let Some(i) = self.find(addr) else {
+            return false;
+        };
+        let (_, _, offset) = self.geometry.decompose(addr);
+        let at = self.word_index(i, offset);
+        if self.speculative {
+            self.log.push(UndoRec::Write {
+                line: i as u32,
+                offset: offset as u32,
+                word: self.data[at],
+                state: self.states[i],
+                last_used: self.last_used[i],
+                clock: self.clock,
+            });
         }
+        self.touch(i);
+        self.data[at] = value;
+        self.states[i] = new_state;
+        true
     }
 
     /// Sets the state of a resident block without touching data or LRU
@@ -220,85 +232,100 @@ impl CacheArray {
         debug_assert!(!self.speculative, "set_state is not a speculative path");
         match self.find(addr) {
             Some(i) => {
-                self.lines[i].state = state;
+                self.states[i] = state;
                 true
             }
             None => false,
         }
     }
 
-    /// Invalidates the block containing `addr`, returning its old state and
-    /// data (for cache-to-cache supply followed by invalidation).
-    pub fn invalidate(&mut self, addr: Addr) -> Option<(BlockState, Vec<Word>)> {
+    /// Invalidates the block containing `addr`, returning its old state.
+    /// A caller that needs the data (cache-to-cache supply) reads it with
+    /// [`CacheArray::block`] first.
+    pub fn invalidate(&mut self, addr: Addr) -> Option<BlockState> {
         let i = self.find(addr)?;
-        let state = self.lines[i].state;
+        let state = self.states[i];
         if self.speculative {
             self.log.push(UndoRec::StateOnly {
                 line: i as u32,
                 state,
             });
         }
-        let data = self.lines[i].data.to_vec();
-        self.lines[i].state = BlockState::Inv;
-        Some((state, data))
+        self.states[i] = BlockState::Inv;
+        Some(state)
     }
 
-    /// Copies a resident block's data out without changing anything
-    /// (cache-to-cache supply).
-    pub fn snapshot(&self, addr: Addr) -> Option<Vec<Word>> {
+    /// A resident block's words, without changing anything
+    /// (cache-to-cache supply, inspection).
+    pub fn block(&self, addr: Addr) -> Option<&[Word]> {
         let i = self.find(addr)?;
-        Some(self.lines[i].data.to_vec())
+        Some(&self.data[self.line_words(i)])
     }
 
     /// Reads one resident word without touching LRU state (inspection).
     pub fn snapshot_word(&self, addr: Addr) -> Option<Word> {
         let i = self.find(addr)?;
         let (_, _, offset) = self.geometry.decompose(addr);
-        Some(self.lines[i].data[offset as usize])
+        Some(self.data[self.word_index(i, offset)])
     }
 
     /// Installs a block (fetched or direct-written) over the LRU victim of
-    /// its set. Returns the victim if one had to be displaced.
+    /// its set. Returns the victim if one had to be displaced; a dirty
+    /// victim's words are first copied into `victim_data`, which the
+    /// caller then swaps out.
     ///
     /// # Panics
     ///
-    /// Panics if `data` is not exactly one block, or the block is already
-    /// resident (the protocol must not double-install).
-    pub fn install(&mut self, base: Addr, data: Vec<Word>, state: BlockState) -> Option<Eviction> {
+    /// Panics if `data` or `victim_data` is not exactly one block, or the
+    /// block is already resident (the protocol must not double-install).
+    pub fn install(
+        &mut self,
+        base: Addr,
+        data: &[Word],
+        state: BlockState,
+        victim_data: &mut [Word],
+    ) -> Option<Eviction> {
         debug_assert!(!self.speculative, "install is not a speculative path");
-        assert_eq!(data.len() as u64, self.geometry.block_words, "bad block");
-        assert_eq!(base % self.geometry.block_words, 0, "unaligned block");
+        let bw = self.geometry.block_words;
+        assert_eq!(data.len() as u64, bw, "bad block");
+        assert_eq!(victim_data.len() as u64, bw, "bad victim buffer");
+        assert!(self.geometry.is_block_boundary(base), "unaligned block");
         assert!(
             self.find(base).is_none(),
             "block {base:#x} already resident"
         );
 
         let (tag, set, _) = self.geometry.decompose(base);
-        // Prefer an invalid way; otherwise evict the least recently used.
+        let victim = self.victim(set);
+        let words = self.line_words(victim);
+        let old = self.states[victim];
+        let evicted = old.is_valid().then(|| {
+            if old.is_dirty() {
+                victim_data.copy_from_slice(&self.data[words.clone()]);
+            }
+            Eviction {
+                base: self.geometry.recompose(self.tags[victim], set),
+                state: old,
+            }
+        });
+
+        self.tags[victim] = tag;
+        self.states[victim] = state;
+        self.data[words].copy_from_slice(data);
+        self.touch(victim);
+        evicted
+    }
+
+    /// The way a fill of `set` displaces: an invalid way if there is one,
+    /// otherwise the least recently used.
+    fn victim(&self, set: u64) -> usize {
         let Some(victim) = self
             .set_range(set)
-            .min_by_key(|&i| (self.lines[i].state.is_valid(), self.lines[i].last_used))
+            .min_by_key(|&i| (self.states[i].is_valid(), self.last_used[i]))
         else {
             unreachable!("a set always has at least one way")
         };
-
-        let evicted = if self.lines[victim].state.is_valid() {
-            let old = &self.lines[victim];
-            Some(Eviction {
-                base: self.geometry.recompose(old.tag, set),
-                state: old.state,
-                data: old.data.to_vec(),
-            })
-        } else {
-            None
-        };
-
-        let line = &mut self.lines[victim];
-        line.tag = tag;
-        line.state = state;
-        line.data.copy_from_slice(&data);
-        self.touch(victim);
-        evicted
+        victim
     }
 
     /// Whether installing a block for `addr` would displace a valid line,
@@ -306,33 +333,30 @@ impl CacheArray {
     /// uses this to price the swap-out into the fill transaction.
     pub fn peek_victim(&self, addr: Addr) -> Option<(Addr, BlockState)> {
         let (_, set, _) = self.geometry.decompose(addr);
-        let victim = self
-            .set_range(set)
-            .min_by_key(|&i| (self.lines[i].state.is_valid(), self.lines[i].last_used))?;
-        let line = &self.lines[victim];
-        if line.state.is_valid() {
-            Some((self.geometry.recompose(line.tag, set), line.state))
-        } else {
-            None
-        }
+        let victim = self.victim(set);
+        let state = self.states[victim];
+        state
+            .is_valid()
+            .then(|| (self.geometry.recompose(self.tags[victim], set), state))
     }
 
     /// Iterates over all valid blocks as `(base address, state)` — used by
-    /// invariant checks in tests.
+    /// invariant checks and to rebuild the protocol's snoop index.
     pub fn valid_blocks(&self) -> impl Iterator<Item = (Addr, BlockState)> + '_ {
-        self.lines.iter().enumerate().filter_map(move |(i, line)| {
-            if line.state.is_valid() {
-                let set = i as u64 / self.geometry.ways;
-                Some((self.geometry.recompose(line.tag, set), line.state))
-            } else {
-                None
-            }
-        })
+        let ways = self.geometry.ways;
+        self.states
+            .iter()
+            .enumerate()
+            .filter(|(_, state)| state.is_valid())
+            .map(move |(i, &state)| {
+                let set = i as u64 / ways;
+                (self.geometry.recompose(self.tags[i], set), state)
+            })
     }
 
     fn touch(&mut self, i: usize) {
         self.clock += 1;
-        self.lines[i].last_used = self.clock;
+        self.last_used[i] = self.clock;
     }
 
     /// Checkpoint hook: serializes the LRU clock and every line.
@@ -344,12 +368,12 @@ impl CacheArray {
         debug_assert!(!self.speculative, "checkpoint during speculation");
         debug_assert!(self.log.is_empty(), "checkpoint with a live undo log");
         w.put_u64(self.clock);
-        w.put_len(self.lines.len());
-        for line in &self.lines {
-            w.put_u64(line.tag);
-            w.put_u8(state_tag(line.state));
-            w.put_u64(line.last_used);
-            for &word in line.data.iter() {
+        w.put_len(self.tags.len());
+        for i in 0..self.tags.len() {
+            w.put_u64(self.tags[i]);
+            w.put_u8(state_tag(self.states[i]));
+            w.put_u64(self.last_used[i]);
+            for &word in &self.data[self.line_words(i)] {
                 w.put_u64(word);
             }
         }
@@ -370,20 +394,20 @@ impl CacheArray {
     ) -> Result<(), pim_ckpt::CkptError> {
         self.clock = r.get_u64()?;
         let n = r.get_len()?;
-        if n != self.lines.len() {
+        if n != self.tags.len() {
             return Err(pim_ckpt::CkptError::Mismatch {
                 detail: format!(
                     "cache array has {} lines, checkpoint has {n}",
-                    self.lines.len()
+                    self.tags.len()
                 ),
             });
         }
-        for line in self.lines.iter_mut() {
-            line.tag = r.get_u64()?;
-            line.state = state_from_tag(r.get_u8()?)?;
-            line.last_used = r.get_u64()?;
-            for word in line.data.iter_mut() {
-                *word = r.get_u64()?;
+        for i in 0..n {
+            self.tags[i] = r.get_u64()?;
+            self.states[i] = state_from_tag(r.get_u8()?)?;
+            self.last_used[i] = r.get_u64()?;
+            for at in self.line_words(i) {
+                self.data[at] = r.get_u64()?;
             }
         }
         self.speculative = false;
@@ -427,11 +451,21 @@ mod tests {
         CacheArray::new(CacheGeometry::with_shape(16, 4, 2))
     }
 
+    /// Installs `data` at `base`, discarding any victim's words.
+    fn fill(
+        c: &mut CacheArray,
+        base: Addr,
+        data: [Word; 4],
+        state: BlockState,
+    ) -> Option<Eviction> {
+        c.install(base, &data, state, &mut [0; 4])
+    }
+
     #[test]
     fn miss_then_install_then_hit() {
         let mut c = tiny();
         assert_eq!(c.read(5), None);
-        assert!(c.install(4, vec![10, 11, 12, 13], BlockState::Ec).is_none());
+        assert!(fill(&mut c, 4, [10, 11, 12, 13], BlockState::Ec).is_none());
         assert_eq!(c.read(5), Some(11));
         assert_eq!(c.state_of(5), BlockState::Ec);
     }
@@ -439,7 +473,7 @@ mod tests {
     #[test]
     fn write_updates_data_and_state() {
         let mut c = tiny();
-        c.install(0, vec![0; 4], BlockState::Ec);
+        fill(&mut c, 0, [0; 4], BlockState::Ec);
         assert!(c.write(2, 99, BlockState::Em));
         assert_eq!(c.read(2), Some(99));
         assert_eq!(c.state_of(2), BlockState::Em);
@@ -450,10 +484,10 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let mut c = tiny();
         // Set 0 holds blocks whose (block index % 2 == 0): bases 0, 8, 16…
-        c.install(0, vec![1; 4], BlockState::Ec);
-        c.install(8, vec![2; 4], BlockState::Ec);
+        fill(&mut c, 0, [1; 4], BlockState::Ec);
+        fill(&mut c, 8, [2; 4], BlockState::Ec);
         c.read(0); // make base 0 most recent
-        let ev = c.install(16, vec![3; 4], BlockState::Ec).expect("eviction");
+        let ev = fill(&mut c, 16, [3; 4], BlockState::Ec).expect("eviction");
         assert_eq!(ev.base, 8);
         assert!(c.contains(0) && c.contains(16) && !c.contains(8));
     }
@@ -461,23 +495,37 @@ mod tests {
     #[test]
     fn dirty_eviction_carries_data() {
         let mut c = tiny();
-        c.install(0, vec![7; 4], BlockState::Em);
-        c.install(8, vec![0; 4], BlockState::Ec);
-        let ev = c.install(16, vec![0; 4], BlockState::Ec).expect("eviction");
+        fill(&mut c, 0, [7; 4], BlockState::Em);
+        fill(&mut c, 8, [0; 4], BlockState::Ec);
+        let mut victim = [0; 4];
+        let ev = c
+            .install(16, &[0; 4], BlockState::Ec, &mut victim)
+            .expect("eviction");
         // base 0 was older than base 8.
         assert_eq!(ev.base, 0);
         assert_eq!(ev.state, BlockState::Em);
-        assert_eq!(ev.data, vec![7; 4]);
+        assert_eq!(victim, [7; 4]);
+    }
+
+    #[test]
+    fn clean_eviction_leaves_the_victim_buffer_alone() {
+        let mut c = tiny();
+        fill(&mut c, 0, [7; 4], BlockState::Ec);
+        fill(&mut c, 8, [0; 4], BlockState::Ec);
+        let mut victim = [1; 4];
+        let ev = c.install(16, &[0; 4], BlockState::Ec, &mut victim);
+        assert_eq!(ev.map(|e| e.state), Some(BlockState::Ec));
+        assert_eq!(victim, [1; 4]);
     }
 
     #[test]
     fn invalidate_returns_contents() {
         let mut c = tiny();
-        c.install(4, vec![1, 2, 3, 4], BlockState::Sm);
-        let (state, data) = c.invalidate(6).expect("present");
-        assert_eq!(state, BlockState::Sm);
-        assert_eq!(data, vec![1, 2, 3, 4]);
+        fill(&mut c, 4, [1, 2, 3, 4], BlockState::Sm);
+        assert_eq!(c.block(6), Some(&[1, 2, 3, 4][..]));
+        assert_eq!(c.invalidate(6), Some(BlockState::Sm));
         assert!(!c.contains(4));
+        assert_eq!(c.block(6), None);
         assert_eq!(c.invalidate(6), None);
     }
 
@@ -485,16 +533,16 @@ mod tests {
     fn peek_victim_matches_install() {
         let mut c = tiny();
         assert_eq!(c.peek_victim(0), None);
-        c.install(0, vec![0; 4], BlockState::Em);
-        c.install(8, vec![0; 4], BlockState::Ec);
+        fill(&mut c, 0, [0; 4], BlockState::Em);
+        fill(&mut c, 8, [0; 4], BlockState::Ec);
         assert_eq!(c.peek_victim(16), Some((0, BlockState::Em)));
     }
 
     #[test]
     fn valid_blocks_enumerates() {
         let mut c = tiny();
-        c.install(0, vec![0; 4], BlockState::Ec);
-        c.install(4, vec![0; 4], BlockState::Em);
+        fill(&mut c, 0, [0; 4], BlockState::Ec);
+        fill(&mut c, 4, [0; 4], BlockState::Em);
         let mut blocks: Vec<_> = c.valid_blocks().collect();
         blocks.sort();
         assert_eq!(blocks, vec![(0, BlockState::Ec), (4, BlockState::Em)]);
@@ -503,8 +551,8 @@ mod tests {
     #[test]
     fn speculative_rollback_restores_bit_exact_state() {
         let mut c = tiny();
-        c.install(0, vec![1, 2, 3, 4], BlockState::Ec);
-        c.install(4, vec![5, 6, 7, 8], BlockState::Em);
+        fill(&mut c, 0, [1, 2, 3, 4], BlockState::Ec);
+        fill(&mut c, 4, [5, 6, 7, 8], BlockState::Em);
         c.read(1); // fix distinct LRU timestamps before speculation
         let reference = c.clone();
 
@@ -526,7 +574,7 @@ mod tests {
     #[test]
     fn speculative_partial_rollback_keeps_committed_prefix() {
         let mut c = tiny();
-        c.install(0, vec![0; 4], BlockState::Ec);
+        fill(&mut c, 0, [0; 4], BlockState::Ec);
         c.set_speculative(true);
         c.write(1, 11, BlockState::Em);
         let mid = c.log_len();
@@ -542,7 +590,17 @@ mod tests {
     #[should_panic(expected = "already resident")]
     fn double_install_panics() {
         let mut c = tiny();
-        c.install(0, vec![0; 4], BlockState::Ec);
-        c.install(0, vec![0; 4], BlockState::Ec);
+        fill(&mut c, 0, [0; 4], BlockState::Ec);
+        fill(&mut c, 0, [0; 4], BlockState::Ec);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn unvalidated_geometry_panics() {
+        CacheArray::new(CacheGeometry {
+            block_words: 3,
+            sets: 4,
+            ways: 1,
+        });
     }
 }

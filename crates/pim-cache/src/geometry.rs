@@ -1,6 +1,7 @@
 //! Cache geometry: block size, associativity, set count, and the
 //! directory-bit accounting used by the paper's Figure 2.
 
+use crate::ConfigError;
 use pim_trace::Addr;
 
 /// Shape of one PE's cache.
@@ -78,35 +79,77 @@ impl CacheGeometry {
         self.block_words * self.sets * self.ways
     }
 
+    /// Checks that the address decomposition below is exact: block size
+    /// and set count must be powers of two (they are split off with
+    /// shifts and masks) and there must be at least one way.
+    ///
+    /// The constructors above already guarantee this; the fields are
+    /// public, so a geometry built as a struct literal is checked here.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] the geometry violates.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !self.block_words.is_power_of_two() {
+            return Err(ConfigError::BlockWords {
+                block_words: self.block_words,
+            });
+        }
+        if !self.sets.is_power_of_two() {
+            return Err(ConfigError::Sets { sets: self.sets });
+        }
+        if self.ways == 0 {
+            return Err(ConfigError::NoWays);
+        }
+        Ok(())
+    }
+
+    /// log2 of the block size: the width of the block-offset field.
+    fn offset_bits(&self) -> u32 {
+        self.block_words.trailing_zeros()
+    }
+
+    /// log2 of the set count: the width of the set-index field.
+    fn set_bits(&self) -> u32 {
+        self.sets.trailing_zeros()
+    }
+
     /// Splits an address into `(tag, set index, block offset)`.
     pub fn decompose(&self, addr: Addr) -> (u64, u64, u64) {
-        let offset = addr % self.block_words;
-        let block = addr / self.block_words;
-        let set = block % self.sets;
-        let tag = block / self.sets;
+        let offset = addr & (self.block_words - 1);
+        let block = self.block_number(addr);
+        let set = block & (self.sets - 1);
+        let tag = block >> self.set_bits();
         (tag, set, offset)
+    }
+
+    /// The global number of the block containing `addr` (its address with
+    /// the offset field shifted out).
+    pub fn block_number(&self, addr: Addr) -> u64 {
+        addr >> self.offset_bits()
     }
 
     /// The first address of the block containing `addr`.
     pub fn block_base(&self, addr: Addr) -> Addr {
-        addr - addr % self.block_words
+        addr & !(self.block_words - 1)
     }
 
     /// Whether `addr` is the first word of its block (the `DW`
     /// block-boundary condition of Section 3.2).
     pub fn is_block_boundary(&self, addr: Addr) -> bool {
-        addr.is_multiple_of(self.block_words)
+        addr & (self.block_words - 1) == 0
     }
 
     /// Whether `addr` is the last word of its block (the `ER` purge
     /// condition of Section 3.2).
     pub fn is_last_word(&self, addr: Addr) -> bool {
-        addr % self.block_words == self.block_words - 1
+        let mask = self.block_words - 1;
+        addr & mask == mask
     }
 
     /// Reconstructs a block's base address from its tag and set index.
     pub fn recompose(&self, tag: u64, set: u64) -> Addr {
-        (tag * self.sets + set) * self.block_words
+        ((tag << self.set_bits()) | set) << self.offset_bits()
     }
 
     /// Total storage bits for this cache under the paper's accounting:
@@ -127,9 +170,8 @@ impl CacheGeometry {
 
     /// Bits in the address (tag + state) directory.
     pub fn directory_bits(&self, addr_bits: u64) -> u64 {
-        let set_bits = self.sets.trailing_zeros() as u64;
-        let offset_bits = self.block_words.trailing_zeros() as u64;
-        let tag_bits = addr_bits.saturating_sub(set_bits + offset_bits);
+        let field_bits = u64::from(self.set_bits() + self.offset_bits());
+        let tag_bits = addr_bits.saturating_sub(field_bits);
         // Three state bits encode the five states.
         let per_line = tag_bits + 3;
         per_line * self.sets * self.ways
@@ -210,6 +252,28 @@ mod tests {
     #[should_panic(expected = "capacity must be 2^k")]
     fn non_power_of_two_capacity_rejected() {
         CacheGeometry::with_capacity(3000);
+    }
+
+    #[test]
+    fn validate_rejects_what_shifts_cannot_decompose() {
+        assert_eq!(CacheGeometry::paper_default().validate(), Ok(()));
+        let g = CacheGeometry::paper_default();
+        assert_eq!(
+            CacheGeometry {
+                block_words: 6,
+                ..g
+            }
+            .validate(),
+            Err(ConfigError::BlockWords { block_words: 6 })
+        );
+        assert_eq!(
+            CacheGeometry { sets: 0, ..g }.validate(),
+            Err(ConfigError::Sets { sets: 0 })
+        );
+        assert_eq!(
+            CacheGeometry { ways: 0, ..g }.validate(),
+            Err(ConfigError::NoWays)
+        );
     }
 
     #[test]

@@ -65,10 +65,10 @@ pub mod state;
 pub mod stats;
 
 pub use array::CacheArray;
-pub use error::ProtocolError;
+pub use error::{ConfigError, ProtocolError};
 pub use geometry::CacheGeometry;
 pub use lockdir::{LockDirectory, LockState};
 pub use optmask::{OptColumn, OptMask};
-pub use protocol::{Outcome, PeShard, PimSystem, SystemConfig};
+pub use protocol::{Outcome, PeShard, PimSystem, SystemConfig, MAX_PES};
 pub use state::BlockState;
 pub use stats::{AccessStats, LockStats};

@@ -32,12 +32,17 @@
 
 use crate::array::{CacheArray, Eviction, DW_POISON};
 use crate::{
-    AccessStats, BlockState, CacheGeometry, LockDirectory, LockState, LockStats, OptMask,
-    ProtocolError,
+    AccessStats, BlockState, CacheGeometry, ConfigError, LockDirectory, LockState, LockStats,
+    OptMask, ProtocolError,
 };
 use pim_bus::{BusCommand, BusStats, BusTiming, SharedMemory, Transaction};
 use pim_obs::Observer;
 use pim_trace::{Access, Addr, AreaMap, MemOp, PeId, RefStats, StorageArea, Word};
+use std::collections::HashMap;
+
+/// The most PEs a [`PimSystem`] (or any system sharing its snoop index)
+/// can have: the index names each PE by one bit of a `u64`.
+pub const MAX_PES: u32 = 64;
 
 /// Configuration of a [`PimSystem`].
 #[derive(Debug, Clone)]
@@ -54,6 +59,25 @@ pub struct SystemConfig {
     pub lock_entries: usize,
     /// The storage-area partition of the address space.
     pub area_map: AreaMap,
+}
+
+impl SystemConfig {
+    /// Checks that a memory system can be built from this configuration:
+    /// 1 to [`MAX_PES`] PEs and a geometry that passes
+    /// [`CacheGeometry::validate`].
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] the configuration violates.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.pes == 0 {
+            return Err(ConfigError::NoPes);
+        }
+        if self.pes > MAX_PES {
+            return Err(ConfigError::TooManyPes { pes: self.pes });
+        }
+        self.geometry.validate()
+    }
 }
 
 impl Default for SystemConfig {
@@ -124,8 +148,9 @@ enum FillSource {
     Memory,
 }
 
+/// A completed fill. The block's words are left in the system's
+/// `fill_buf`.
 struct Filled {
-    data: Vec<Word>,
     cycles: u64,
     source: FillSource,
 }
@@ -308,7 +333,7 @@ impl PeShard {
         purged: &mut Option<bool>,
         transition: &mut Option<(BlockState, BlockState)>,
     ) {
-        if let Some((state, _)) = self.cache.invalidate(addr) {
+        if let Some(state) = self.cache.invalidate(addr) {
             *purged = Some(state.is_dirty());
             *transition = Some((state, BlockState::Inv));
         }
@@ -359,6 +384,107 @@ impl PeShard {
     }
 }
 
+/// Block number → PE mask. Block numbers come from trace addresses, which
+/// are input from outside the program, so the map keeps the standard
+/// collision-resistant hasher.
+type BlockMap = HashMap<u64, u64>;
+
+/// The snoop index: which PEs a bus snoop on a block has to ask.
+///
+/// Both maps are keyed by block number and hold a PE bitmask:
+///
+/// * `holders` — PEs whose cache *may* hold the block. The bit is set on
+///   every install and cleared whenever [`PimSystem`] drops the line
+///   (invalidation, purge, eviction). The parallel engine's speculative
+///   local purges ([`PeShard::try_local`]) bypass the system, so they can
+///   leave a stale bit but never a missing one: the mask is a superset.
+/// * `lockers` — PEs whose lock directory holds a word in the block;
+///   exact at all times.
+///
+/// Every candidate is still confirmed by probing its cache or directory,
+/// so a snoop through the index answers exactly as one that asks every
+/// PE, in the same ascending PE order. See DESIGN.md, "Snoop index".
+#[derive(Debug, Clone, Default)]
+struct SnoopIndex {
+    holders: BlockMap,
+    lockers: BlockMap,
+}
+
+impl SnoopIndex {
+    /// An empty index sized for `pes` full caches of `lines` lines and
+    /// lock directories of `lock_entries`, so it never grows on the hot
+    /// path.
+    fn with_capacity(pes: usize, lines: usize, lock_entries: usize) -> SnoopIndex {
+        SnoopIndex {
+            holders: BlockMap::with_capacity(pes * lines),
+            lockers: BlockMap::with_capacity(pes * lock_entries),
+        }
+    }
+
+    fn holders(&self, block: u64) -> u64 {
+        self.holders.get(&block).copied().unwrap_or(0)
+    }
+
+    fn lockers(&self, block: u64) -> u64 {
+        self.lockers.get(&block).copied().unwrap_or(0)
+    }
+
+    fn add_holder(&mut self, block: u64, pe: PeId) {
+        *self.holders.entry(block).or_insert(0) |= pe_bit(pe);
+    }
+
+    fn remove_holder(&mut self, block: u64, pe: PeId) {
+        clear_bit(&mut self.holders, block, pe);
+    }
+
+    fn add_locker(&mut self, block: u64, pe: PeId) {
+        *self.lockers.entry(block).or_insert(0) |= pe_bit(pe);
+    }
+
+    fn remove_locker(&mut self, block: u64, pe: PeId) {
+        clear_bit(&mut self.lockers, block, pe);
+    }
+
+    /// Recomputes both maps exactly from the caches and lock directories.
+    fn rebuild(&mut self, shards: &[PeShard], geometry: &CacheGeometry) {
+        self.holders.clear();
+        self.lockers.clear();
+        for (i, shard) in shards.iter().enumerate() {
+            let pe = PeId(i as u32);
+            for (base, _) in shard.cache.valid_blocks() {
+                self.add_holder(geometry.block_number(base), pe);
+            }
+            for addr in shard.lockdir.held_addrs() {
+                self.add_locker(geometry.block_number(addr), pe);
+            }
+        }
+    }
+}
+
+fn pe_bit(pe: PeId) -> u64 {
+    1 << pe.0
+}
+
+fn clear_bit(map: &mut BlockMap, block: u64, pe: PeId) {
+    if let Some(mask) = map.get_mut(&block) {
+        *mask &= !pe_bit(pe);
+        if *mask == 0 {
+            map.remove(&block);
+        }
+    }
+}
+
+/// The PEs named by `mask`, in ascending order.
+fn pes_in(mut mask: u64) -> impl Iterator<Item = PeId> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let pe = PeId(mask.trailing_zeros());
+            mask &= mask - 1;
+            pe
+        })
+    })
+}
+
 /// The PIM multiprocessor memory system (Section 3 of the paper).
 #[derive(Debug)]
 pub struct PimSystem {
@@ -373,6 +499,15 @@ pub struct PimSystem {
     /// The engine-supplied current cycle, stamped onto observer events
     /// emitted from inside the protocol (state transitions).
     now: u64,
+    snoop: SnoopIndex,
+    /// Whether shards have been handed out for speculation since the
+    /// index was last exact ([`PimSystem::fold_shard_stats`] rebuilds it).
+    speculated: bool,
+    /// One block of scratch: the words of the block being filled.
+    fill_buf: Vec<Word>,
+    /// One block of scratch: a dirty victim's words on their way to
+    /// memory.
+    victim_buf: Vec<Word>,
 }
 
 impl Clone for PimSystem {
@@ -390,6 +525,10 @@ impl Clone for PimSystem {
             lock_stats: self.lock_stats,
             observer: None,
             now: self.now,
+            snoop: self.snoop.clone(),
+            speculated: self.speculated,
+            fill_buf: self.fill_buf.clone(),
+            victim_buf: self.victim_buf.clone(),
         }
     }
 }
@@ -399,13 +538,33 @@ impl PimSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `config.pes` is zero.
+    /// Panics with the [`ConfigError`] that [`PimSystem::try_new`]
+    /// returns.
     pub fn new(config: SystemConfig) -> PimSystem {
-        assert!(config.pes > 0, "need at least one PE");
+        match PimSystem::try_new(config) {
+            Ok(system) => system,
+            Err(e) => panic!("bad system configuration: {e}"),
+        }
+    }
+
+    /// Builds a system with all caches empty and memory zeroed.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] from [`SystemConfig::validate`].
+    pub fn try_new(config: SystemConfig) -> Result<PimSystem, ConfigError> {
+        config.validate()?;
         let shards = (0..config.pes)
             .map(|pe| PeShard::new(PeId(pe), &config))
             .collect();
-        PimSystem {
+        let geom = config.geometry;
+        let block = vec![0; geom.block_words as usize];
+        Ok(PimSystem {
+            snoop: SnoopIndex::with_capacity(
+                config.pes as usize,
+                (geom.sets * geom.ways) as usize,
+                config.lock_entries,
+            ),
             config,
             shards,
             memory: SharedMemory::new(),
@@ -415,7 +574,10 @@ impl PimSystem {
             lock_stats: LockStats::new(),
             observer: None,
             now: 0,
-        }
+            speculated: false,
+            fill_buf: block.clone(),
+            victim_buf: block,
+        })
     }
 
     /// Mutable access to the per-PE shards, for the parallel engine: the
@@ -423,6 +585,7 @@ impl PimSystem {
     /// thread via [`PeShard::try_local`] while the shared core is left
     /// alone.
     pub fn shards_mut(&mut self) -> &mut [PeShard] {
+        self.speculated = true;
         &mut self.shards
     }
 
@@ -430,6 +593,7 @@ impl PimSystem {
     /// them between barriers. While taken, [`PimSystem::access`] must not
     /// be called; give them back with [`PimSystem::put_shards`] first.
     pub fn take_shards(&mut self) -> Vec<PeShard> {
+        self.speculated = true;
         std::mem::take(&mut self.shards)
     }
 
@@ -471,7 +635,8 @@ impl PimSystem {
     /// accumulator into the system totals, forwarding buffered state
     /// transitions to the observer (grouped by PE; the transition counts
     /// are commutative, so reports are bit-identical to sequential runs).
-    /// After this the shard buffers are empty and logging is off.
+    /// After this the shard buffers are empty, logging is off, and the
+    /// snoop index is exact again.
     pub fn fold_shard_stats(&mut self) {
         for i in 0..self.shards.len() {
             self.shards[i].commit_speculation();
@@ -489,6 +654,14 @@ impl PimSystem {
             self.shards[i].record_transitions = false;
             self.shards[i].set_speculating(false);
         }
+        self.rebuild_snoop_index();
+    }
+
+    /// Recomputes the snoop index from the caches and lock directories.
+    /// The index is derived state: it is never checkpointed, only rebuilt.
+    fn rebuild_snoop_index(&mut self) {
+        self.snoop.rebuild(&self.shards, &self.config.geometry);
+        self.speculated = false;
     }
 
     /// Checkpoint hook: serializes the complete coherence state — every
@@ -585,6 +758,7 @@ impl PimSystem {
             *v = r.get_u64()?;
         }
         self.now = r.get_u64()?;
+        self.rebuild_snoop_index();
         Ok(())
     }
 
@@ -610,9 +784,8 @@ impl PimSystem {
     /// model checking — excludes replacement bookkeeping on purpose, so two
     /// systems with equal views are behaviorally equivalent on one block).
     pub fn cache_view(&self, pe: PeId, addr: Addr) -> Option<(BlockState, Vec<Word>)> {
-        let shard = &self.shards[pe.index()];
-        let snapshot = shard.cache.snapshot(addr)?;
-        Some((shard.cache.state_of(addr), snapshot))
+        let cache = &self.shards[pe.index()].cache;
+        Some((cache.state_of(addr), cache.block(addr)?.to_vec()))
     }
 
     /// The lock-directory view of `addr` in `pe`'s own directory: its entry
@@ -681,12 +854,10 @@ impl PimSystem {
     /// inspection after a run. Prefers a cached copy (the freshest data)
     /// over memory.
     pub fn peek(&self, addr: Addr) -> Word {
-        for shard in &self.shards {
-            if let Some(v) = shard.cache.snapshot_word(addr) {
-                return v;
-            }
-        }
-        self.memory.read(addr)
+        let block = self.config.geometry.block_number(addr);
+        pes_in(self.snoop.holders(block))
+            .find_map(|pe| self.shards[pe.index()].cache.snapshot_word(addr))
+            .unwrap_or_else(|| self.memory.read(addr))
     }
 
     /// Performs one memory operation for `pe`.
@@ -782,31 +953,34 @@ impl PimSystem {
         changed
     }
 
-    fn cache_invalidate(&mut self, pe: PeId, addr: Addr) -> Option<(BlockState, Vec<Word>)> {
-        let dropped = self.shards[pe.index()].cache.invalidate(addr);
-        if self.observer.is_some() {
-            if let Some((from, _)) = &dropped {
-                self.emit_transition(pe, addr, *from, BlockState::Inv);
-            }
-        }
-        dropped
+    fn cache_invalidate(&mut self, pe: PeId, addr: Addr) -> Option<BlockState> {
+        let dropped = self.shards[pe.index()].cache.invalidate(addr)?;
+        let block = self.config.geometry.block_number(addr);
+        self.snoop.remove_holder(block, pe);
+        self.emit_transition(pe, addr, dropped, BlockState::Inv);
+        Some(dropped)
     }
 
+    /// Installs `data` as `base`'s block in `pe`'s cache. A dirty
+    /// victim's words are left in `victim_buf` for the swap-out.
     fn cache_install(
         &mut self,
         pe: PeId,
         base: Addr,
-        data: Vec<Word>,
+        data: &[Word],
         state: BlockState,
     ) -> Option<Eviction> {
-        let evicted = self.shards[pe.index()].cache.install(base, data, state);
-        if self.observer.is_some() {
-            if let Some(ev) = &evicted {
-                let (ev_base, ev_state) = (ev.base, ev.state);
-                self.emit_transition(pe, ev_base, ev_state, BlockState::Inv);
-            }
-            self.emit_transition(pe, base, BlockState::Inv, state);
+        let evicted =
+            self.shards[pe.index()]
+                .cache
+                .install(base, data, state, &mut self.victim_buf);
+        let geom = self.config.geometry;
+        if let Some(ev) = evicted {
+            self.snoop.remove_holder(geom.block_number(ev.base), pe);
+            self.emit_transition(pe, ev.base, ev.state, BlockState::Inv);
         }
+        self.snoop.add_holder(geom.block_number(base), pe);
+        self.emit_transition(pe, base, BlockState::Inv, state);
         evicted
     }
 
@@ -817,16 +991,21 @@ impl PimSystem {
     /// A remote lock directory holding a word inside `base`'s block, if
     /// any: `(holder, locked word)`.
     fn lock_conflict(&self, requester: PeId, base: Addr) -> Option<(PeId, Addr)> {
-        let bw = self.config.geometry.block_words;
-        self.shards.iter().enumerate().find_map(|(i, shard)| {
-            if i == requester.index() {
-                return None;
-            }
-            shard
+        let geom = &self.config.geometry;
+        let lockers = self.snoop.lockers(geom.block_number(base)) & !pe_bit(requester);
+        pes_in(lockers).find_map(|pe| {
+            self.shards[pe.index()]
                 .lockdir
-                .locked_word_in_block(base, bw)
-                .map(|w| (PeId(i as u32), w))
+                .locked_word_in_block(base, geom.block_words)
+                .map(|w| (pe, w))
         })
+    }
+
+    /// The other PEs whose caches may hold `addr`'s block (a superset; see
+    /// [`SnoopIndex`]).
+    fn remote_holders(&self, requester: PeId, addr: Addr) -> u64 {
+        let block = self.config.geometry.block_number(addr);
+        self.snoop.holders(block) & !pe_bit(requester)
     }
 
     /// Registers `requester` as a busy-waiter on `holder`'s lock and
@@ -850,16 +1029,13 @@ impl PimSystem {
     /// owner, falls back to the lowest-numbered valid holder.
     fn find_supplier(&self, requester: PeId, base: Addr) -> Option<(PeId, BlockState)> {
         let mut clean = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i == requester.index() {
-                continue;
-            }
-            let state = shard.cache.state_of(base);
+        for pe in pes_in(self.remote_holders(requester, base)) {
+            let state = self.shards[pe.index()].cache.state_of(base);
             if state.is_dirty() {
-                return Some((PeId(i as u32), state));
+                return Some((pe, state));
             }
             if state.is_valid() && clean.is_none() {
-                clean = Some((PeId(i as u32), state));
+                clean = Some((pe, state));
             }
         }
         clean
@@ -867,10 +1043,21 @@ impl PimSystem {
 
     /// Whether any other cache holds `base` (the `DW` contract check).
     fn held_remotely(&self, requester: PeId, base: Addr) -> bool {
-        self.shards
-            .iter()
-            .enumerate()
-            .any(|(i, s)| i != requester.index() && s.cache.contains(base))
+        pes_in(self.remote_holders(requester, base))
+            .any(|pe| self.shards[pe.index()].cache.contains(base))
+    }
+
+    /// Invalidates every other cache's copy of `base`'s block, in PE
+    /// order (the `I` broadcast, or the invalidating half of `FI`).
+    /// Returns whether a dirty copy was dropped.
+    fn invalidate_remote(&mut self, requester: PeId, base: Addr) -> bool {
+        let mut dropped_dirty = false;
+        for pe in pes_in(self.remote_holders(requester, base)) {
+            if let Some(state) = self.cache_invalidate(pe, base) {
+                dropped_dirty |= state.is_dirty();
+            }
+        }
+        dropped_dirty
     }
 
     // ------------------------------------------------------------------
@@ -913,65 +1100,52 @@ impl PimSystem {
         }
 
         let supplier = self.find_supplier(pe, base);
-        let (data, state, source) = match supplier {
+        let mut data = std::mem::take(&mut self.fill_buf);
+        let (state, source) = match supplier {
             Some((sup, sup_state)) => {
                 let dirty = sup_state.is_dirty();
-                let data = if exclusive {
+                let Some(block) = self.shards[sup.index()].cache.block(base) else {
+                    unreachable!("supplier had the block")
+                };
+                data.copy_from_slice(block);
+                if exclusive {
                     // FI: every other copy dies; dirty data migrates to the
                     // requester without updating memory.
-                    let mut data = None;
-                    for i in 0..self.shards.len() {
-                        if i == pe.index() {
-                            continue;
-                        }
-                        if let Some((st, d)) = self.cache_invalidate(PeId(i as u32), base) {
-                            if i == sup.index() || (st.is_dirty() && data.is_none()) {
-                                data = Some(d);
-                            }
-                        }
-                    }
-                    match data {
-                        Some(d) => d,
-                        None => unreachable!("supplier had the block"),
-                    }
+                    self.invalidate_remote(pe, base);
                 } else {
                     // F: the supplier keeps the data; a dirty supplier
                     // becomes the SM owner, a clean exclusive one drops
                     // to S. Memory is not updated (unlike Illinois).
-                    let Some(data) = self.shards[sup.index()].cache.snapshot(base) else {
-                        unreachable!("supplier had the block")
-                    };
                     let new_state = if dirty {
                         BlockState::Sm
                     } else {
                         BlockState::Shared
                     };
                     self.cache_set_state(sup, base, new_state);
-                    data
-                };
+                }
                 let state = match (exclusive, dirty) {
                     (true, true) => BlockState::Em,
                     (true, false) => BlockState::Ec,
                     (false, _) => BlockState::Shared,
                 };
-                (data, state, FillSource::Cache(sup, dirty))
+                (state, FillSource::Cache(sup, dirty))
             }
             None => {
-                let mut data = vec![0; bw as usize];
                 self.memory.read_block(base, &mut data);
-                (data, BlockState::Ec, FillSource::Memory)
+                (BlockState::Ec, FillSource::Memory)
             }
         };
 
         let mut swap_out = false;
         if install {
-            if let Some(ev) = self.cache_install(pe, base, data.clone(), state) {
+            if let Some(ev) = self.cache_install(pe, base, &data, state) {
                 if ev.state.is_dirty() {
-                    self.memory.write_block(ev.base, &ev.data);
+                    self.memory.write_block(ev.base, &self.victim_buf);
                     swap_out = true;
                 }
             }
         }
+        self.fill_buf = data;
 
         let tx = match source {
             FillSource::Cache(..) => Transaction::CacheToCache { swap_out },
@@ -980,11 +1154,7 @@ impl PimSystem {
         self.bus.record_tx(tx, area, &self.config.timing, bw);
         let cycles = self.config.timing.cycles(tx, bw);
 
-        FillOutcome::Filled(Filled {
-            data,
-            cycles,
-            source,
-        })
+        FillOutcome::Filled(Filled { cycles, source })
     }
 
     /// Like [`PimSystem::refuse`] but usable from `fill` (returns just the
@@ -1024,14 +1194,7 @@ impl PimSystem {
         if with_lock {
             self.bus.record_cmd(BusCommand::Lock);
         }
-        let mut dropped_dirty = false;
-        for i in 0..self.shards.len() {
-            if i != pe.index() {
-                if let Some((state, _)) = self.cache_invalidate(PeId(i as u32), base) {
-                    dropped_dirty |= state.is_dirty();
-                }
-            }
-        }
+        let dropped_dirty = self.invalidate_remote(pe, base);
         self.bus.record_tx(
             Transaction::Invalidate,
             area,
@@ -1137,13 +1300,16 @@ impl PimSystem {
         self.access_stats.lookups += 1;
         self.access_stats.dw_allocations += 1;
         let base = geom.block_base(addr);
-        let mut data = vec![DW_POISON; geom.block_words as usize];
+        let mut data = std::mem::take(&mut self.fill_buf);
+        data.fill(DW_POISON);
         data[(addr - base) as usize] = value;
+        let evicted = self.cache_install(pe, base, &data, BlockState::Em);
+        self.fill_buf = data;
         let mut cycles = 0;
-        if let Some(ev) = self.cache_install(pe, base, data, BlockState::Em) {
+        if let Some(ev) = evicted {
             if ev.state.is_dirty() {
                 // The only swap-out-only bus pattern in the protocol.
-                self.memory.write_block(ev.base, &ev.data);
+                self.memory.write_block(ev.base, &self.victim_buf);
                 self.bus.record_tx(
                     Transaction::SwapOutOnly,
                     area,
@@ -1211,7 +1377,7 @@ impl PimSystem {
                 if matches!(f.source, FillSource::Cache(_, true)) {
                     self.access_stats.dirty_purges += 1;
                 }
-                done(f.data[offset], f.cycles, false)
+                done(self.fill_buf[offset], f.cycles, false)
             }
         }
     }
@@ -1233,7 +1399,7 @@ impl PimSystem {
     }
 
     fn purge_local(&mut self, pe: PeId, addr: Addr) {
-        if let Some((state, _)) = self.cache_invalidate(pe, addr) {
+        if let Some(state) = self.cache_invalidate(pe, addr) {
             self.access_stats.purges += 1;
             if state.is_dirty() {
                 self.access_stats.dirty_purges += 1;
@@ -1268,8 +1434,7 @@ impl PimSystem {
             BlockState::Em | BlockState::Ec => {
                 // The bus-free case the hardware lock exists for: no other
                 // cache can hold the block, so registering locally is safe.
-                self.shards[pe.index()].lockdir.lock(addr)?;
-                self.note_lock_depth(pe);
+                self.lock_word(pe, addr)?;
                 self.lock_stats.lr_total += 1;
                 self.lock_stats.lr_hits += 1;
                 self.lock_stats.lr_hits_exclusive += 1;
@@ -1290,8 +1455,7 @@ impl PimSystem {
                     BlockState::Ec
                 };
                 self.cache_set_state(pe, addr, upgraded);
-                self.shards[pe.index()].lockdir.lock(addr)?;
-                self.note_lock_depth(pe);
+                self.lock_word(pe, addr)?;
                 self.lock_stats.lr_total += 1;
                 self.lock_stats.lr_hits += 1;
                 self.access_stats.hits += 1;
@@ -1301,8 +1465,7 @@ impl PimSystem {
             BlockState::Inv => match self.fill(pe, addr, true, true, true, area) {
                 FillOutcome::Refused { holder } => return Ok(Outcome::LockBusy { holder }),
                 FillOutcome::Filled(f) => {
-                    self.shards[pe.index()].lockdir.lock(addr)?;
-                    self.note_lock_depth(pe);
+                    self.lock_word(pe, addr)?;
                     self.lock_stats.lr_total += 1;
                     let value = self.read_resident(pe, addr);
                     done(value, f.cycles, false)
@@ -1363,12 +1526,16 @@ impl PimSystem {
         })
     }
 
-    /// Records the lock-directory occupancy high-water mark.
-    fn note_lock_depth(&mut self, pe: PeId) {
-        let depth = self.shards[pe.index()].lockdir.len() as u64;
-        if depth > self.lock_stats.max_simultaneous_locks {
-            self.lock_stats.max_simultaneous_locks = depth;
-        }
+    /// Registers `addr` in `pe`'s lock directory and the snoop index,
+    /// and records the lock-directory occupancy high-water mark.
+    fn lock_word(&mut self, pe: PeId, addr: Addr) -> Result<(), ProtocolError> {
+        let dir = &mut self.shards[pe.index()].lockdir;
+        dir.lock(addr)?;
+        let depth = dir.len() as u64;
+        self.lock_stats.max_simultaneous_locks = self.lock_stats.max_simultaneous_locks.max(depth);
+        let block = self.config.geometry.block_number(addr);
+        self.snoop.add_locker(block, pe);
+        Ok(())
     }
 
     /// Removes the lock entry; broadcasts `UL` only when someone waits.
@@ -1378,7 +1545,15 @@ impl PimSystem {
         addr: Addr,
         area: StorageArea,
     ) -> Result<(u64, Vec<PeId>), ProtocolError> {
-        let woken = self.shards[pe.index()].lockdir.unlock(addr)?;
+        let geom = self.config.geometry;
+        let dir = &mut self.shards[pe.index()].lockdir;
+        let woken = dir.unlock(addr)?;
+        if dir
+            .locked_word_in_block(geom.block_base(addr), geom.block_words)
+            .is_none()
+        {
+            self.snoop.remove_locker(geom.block_number(addr), pe);
+        }
         self.lock_stats.unlock_total += 1;
         if woken.is_empty() {
             self.lock_stats.unlock_no_waiter += 1;
@@ -1408,13 +1583,20 @@ impl PimSystem {
     /// 2. at most one dirty (`EM`/`SM`) copy exists per block;
     /// 3. when a block is multiply held, every holder is `S` except at
     ///    most one `SM` owner;
-    /// 4. all valid copies of a block are bit-identical.
+    /// 4. all valid copies of a block are bit-identical;
+    ///
+    /// and that the snoop index agrees with them:
+    ///
+    /// 5. every valid copy's holder bit is set, and outside parallel
+    ///    speculation no other bit is;
+    /// 6. the lock mask of every block names exactly the PEs whose lock
+    ///    directory holds a word in it.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_coherence_invariants(&self) -> Result<(), String> {
-        use std::collections::HashMap;
+        self.check_snoop_index()?;
         let mut holders: HashMap<Addr, Vec<(PeId, BlockState)>> = HashMap::new();
         for (i, shard) in self.shards.iter().enumerate() {
             for (base, state) in shard.cache.valid_blocks() {
@@ -1444,12 +1626,44 @@ impl PimSystem {
                     }
                 }
             }
-            let first = self.shards[list[0].0.index()].cache.snapshot(base);
+            let first = self.shards[list[0].0.index()].cache.block(base);
             for (pe, _) in &list[1..] {
-                if self.shards[pe.index()].cache.snapshot(base) != first {
+                if self.shards[pe.index()].cache.block(base) != first {
                     return Err(format!("block {base:#x}: copies diverge"));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Invariants 5 and 6 of [`PimSystem::check_coherence_invariants`]:
+    /// compares the snoop index with one rebuilt from scratch.
+    fn check_snoop_index(&self) -> Result<(), String> {
+        let mut exact = SnoopIndex::default();
+        exact.rebuild(&self.shards, &self.config.geometry);
+        for (&block, &mask) in &exact.holders {
+            let indexed = self.snoop.holders(block);
+            if mask & !indexed != 0 {
+                return Err(format!(
+                    "block {block:#x}: holders {mask:#x} missing from snoop index {indexed:#x}"
+                ));
+            }
+        }
+        if !self.speculated {
+            for (&block, &indexed) in &self.snoop.holders {
+                let mask = exact.holders(block);
+                if indexed != mask {
+                    return Err(format!(
+                        "block {block:#x}: snoop index {indexed:#x} but holders {mask:#x}"
+                    ));
+                }
+            }
+        }
+        if exact.lockers != self.snoop.lockers {
+            return Err(format!(
+                "lock index {:?} disagrees with lock directories {:?}",
+                self.snoop.lockers, exact.lockers
+            ));
         }
         Ok(())
     }

@@ -409,6 +409,14 @@ fn thread_alloc_counters() -> (u64, u64) {
     alloc::thread_counters()
 }
 
+/// Allocations the calling thread has made so far, as counted by an
+/// installed [`CountingAlloc`] (zero when none is installed). Tests
+/// difference two readings to pin the allocation count of a code path.
+#[cfg(feature = "count-alloc")]
+pub fn thread_allocs() -> u64 {
+    alloc::thread_counters().0
+}
+
 #[cfg(not(feature = "count-alloc"))]
 fn thread_alloc_counters() -> (u64, u64) {
     (0, 0)

@@ -75,6 +75,14 @@ pub struct Engine<S> {
     // out-edges of the LWAIT wait-for graph the deadlock detector
     // searches.
     blocked_on: Vec<Option<PeId>>,
+    // Whether the wait-for graph is known to have no cycle. Every new
+    // edge is checked as it appears, so this only goes false after a
+    // reported deadlock or a checkpoint restore; until a full search
+    // clears it, stalls fall back to that search.
+    acyclic: bool,
+    // The waiters woken during one step, reused across steps so wake-ups
+    // do not allocate.
+    woken: Vec<(PeId, Addr, pim_trace::StorageArea)>,
     idle_poll_cycles: u64,
     // Per-PE bus-wait/lock-wait/idle accumulators; `busy` stays zero
     // here and is derived from the clocks when stats are reported.
@@ -96,6 +104,8 @@ impl<S: MemorySystem> Engine<S> {
             bus_free: 0,
             blocked: vec![false; pes as usize],
             blocked_on: vec![None; pes as usize],
+            acyclic: true,
+            woken: Vec::new(),
             idle_poll_cycles: 16,
             accounts: vec![PeCycles::default(); pes as usize],
             observer: None,
@@ -199,7 +209,7 @@ impl<S: MemorySystem> Engine<S> {
             bus_free: &mut self.bus_free,
             pe,
             stalled: false,
-            woken: Vec::new(),
+            woken: &mut self.woken,
             account: &mut self.accounts[pe.index()],
             observer: &mut self.observer,
             trace: &mut self.trace,
@@ -212,7 +222,27 @@ impl<S: MemorySystem> Engine<S> {
         if let Some(err) = self.pending_error.take() {
             panic!("{err}");
         }
+        // Out-of-run operations wake nobody up: waiters only exist
+        // inside a run.
+        self.woken.clear();
         out
+    }
+
+    /// Whether `pe`'s new wait-for edge closes a cycle, found by walking
+    /// the holder chain from `pe`: every PE has at most one out-edge, so
+    /// a cycle through `pe` is a walk back to `pe`. The walk allocates
+    /// nothing and is bounded by the PE count; it is exact only while
+    /// the rest of the graph is acyclic (`self.acyclic`).
+    fn closes_cycle(&self, pe: PeId) -> bool {
+        let mut at = self.blocked_on[pe.index()];
+        for _ in 0..self.blocked_on.len() {
+            match at {
+                Some(h) if h == pe => return true,
+                Some(h) => at = self.blocked_on[h.index()],
+                None => return false,
+            }
+        }
+        false
     }
 
     /// The wait-for edges of the currently blocked PEs (waiter → lock
@@ -268,7 +298,7 @@ impl<S: MemorySystem> Engine<S> {
                 bus_free: &mut self.bus_free,
                 pe,
                 stalled: false,
-                woken: Vec::new(),
+                woken: &mut self.woken,
                 account: &mut self.accounts[pe.index()],
                 observer: &mut self.observer,
                 trace: &mut self.trace,
@@ -280,12 +310,12 @@ impl<S: MemorySystem> Engine<S> {
             let outcome = process.step(pe, &mut port);
             let stalled = port.stalled;
             let lock_holder = port.lock_holder;
-            let woken = std::mem::take(&mut port.woken);
             if let Some(err) = self.pending_error.take() {
+                self.woken.clear();
                 return Err(err);
             }
             let pe_clock_now = self.clocks[pe.index()];
-            for (w, addr, area) in woken {
+            for &(w, addr, area) in &self.woken {
                 if w != pe {
                     self.blocked[w.index()] = false;
                     self.blocked_on[w.index()] = None;
@@ -301,6 +331,7 @@ impl<S: MemorySystem> Engine<S> {
                     }
                 }
             }
+            self.woken.clear();
             steps += 1;
             match outcome {
                 StepOutcome::Ran => {
@@ -316,13 +347,18 @@ impl<S: MemorySystem> Engine<S> {
                     self.blocked_on[pe.index()] = lock_holder;
                     // A new wait-for edge can only close a cycle through
                     // itself — check the moment it appears, instead of
-                    // hanging until every PE blocks.
-                    if let Some(cycle) = find_cycle(&self.wait_edges()) {
-                        let clock = self.clocks[pe.index()];
-                        if let Some(obs) = self.observer.as_deref_mut() {
-                            obs.deadlock(&cycle, clock);
+                    // hanging until every PE blocks. The full search runs
+                    // only to name the cycle the walk found.
+                    if !self.acyclic || self.closes_cycle(pe) {
+                        if let Some(cycle) = find_cycle(&self.wait_edges()) {
+                            self.acyclic = false;
+                            let clock = self.clocks[pe.index()];
+                            if let Some(obs) = self.observer.as_deref_mut() {
+                                obs.deadlock(&cycle, clock);
+                            }
+                            return Err(SimError::Deadlock { cycle, clock });
                         }
-                        return Err(SimError::Deadlock { cycle, clock });
+                        self.acyclic = true;
                     }
                 }
                 StepOutcome::Finished => {
@@ -431,6 +467,9 @@ impl<S: MemorySystem> Engine<S> {
             acct.idle = r.get_u64()?;
         }
         self.fault_stats.restore_ckpt(r)?;
+        // The restored wait-for graph is unchecked until the next stall
+        // searches it in full.
+        self.acyclic = false;
         self.trace = if r.get_bool()? {
             let len = r.get_len()?;
             let mut trace = Vec::with_capacity(len);
@@ -451,6 +490,7 @@ impl<S: MemorySystem> Engine<S> {
 
     /// Builds the deadlock error for the all-blocked fallback.
     fn deadlock_error(&mut self) -> SimError {
+        self.acyclic = false;
         let clock = self.clocks.iter().copied().max().unwrap_or(0);
         let cycle = find_cycle(&self.wait_edges()).unwrap_or_else(|| {
             // No recorded cycle (possible only if holder bookkeeping is
@@ -501,7 +541,7 @@ struct EnginePort<'a, S> {
     stalled: bool,
     // Each woken waiter with the lock word that released it, so the
     // scheduler can stamp the lock-wait span with its address and area.
-    woken: Vec<(PeId, Addr, pim_trace::StorageArea)>,
+    woken: &'a mut Vec<(PeId, Addr, pim_trace::StorageArea)>,
     account: &'a mut PeCycles,
     observer: &'a mut Option<Box<dyn Observer>>,
     trace: &'a mut Option<Vec<Access>>,
@@ -812,6 +852,44 @@ mod tests {
             "makespan {} too small",
             stats.makespan
         );
+    }
+
+    #[test]
+    fn a_wait_chain_closing_into_a_three_way_cycle_is_a_deadlock() {
+        // PEs 0, 1 and 2 each lock one block and then reach for the next
+        // one round the ring; PE 3 queues behind PE 0 first, so the cycle
+        // closes with a blocked PE hanging off it. PE 4 never blocks, so
+        // only the check on the closing edge can report the deadlock.
+        let system = PimSystem::new(SystemConfig {
+            pes: 5,
+            ..SystemConfig::default()
+        });
+        let heap = system.area_map().base(StorageArea::Heap);
+        let lock = |pe: u32, block: u64| {
+            Access::new(
+                PeId(pe),
+                MemOp::LockRead,
+                heap + 64 * block,
+                StorageArea::Heap,
+            )
+        };
+        let trace = [
+            lock(0, 0),
+            lock(1, 1),
+            lock(2, 2),
+            lock(3, 0),
+            lock(0, 1),
+            lock(1, 2),
+            lock(2, 0),
+            Access::new(PeId(4), MemOp::Read, heap + 64 * 8, StorageArea::Heap),
+        ];
+        let mut replayer = crate::Replayer::from_merged(&trace, 5);
+        let mut engine = Engine::new(system, 5);
+        let err = engine.run(&mut replayer, 1_000).expect_err("ring of locks");
+        let SimError::Deadlock { cycle, .. } = err else {
+            panic!("expected a deadlock, got {err:?}");
+        };
+        assert_eq!(cycle, vec![PeId(0), PeId(1), PeId(2)]);
     }
 
     #[test]

@@ -24,7 +24,8 @@ use crate::MemorySystem;
 use pim_bus::{BusCommand, BusStats, SharedMemory, Transaction};
 use pim_cache::array::{CacheArray, Eviction};
 use pim_cache::{
-    AccessStats, BlockState, LockDirectory, LockStats, Outcome, ProtocolError, SystemConfig,
+    AccessStats, BlockState, ConfigError, LockDirectory, LockStats, Outcome, ProtocolError,
+    SystemConfig,
 };
 use pim_obs::Observer;
 use pim_trace::{Access, Addr, AreaMap, MemOp, PeId, RefStats, StorageArea, Word};
@@ -47,6 +48,11 @@ pub struct IllinoisSystem {
     observer: Option<Box<dyn Observer>>,
     /// The engine-supplied current cycle, stamped onto observer events.
     now: u64,
+    /// One block of scratch: the words of the block being filled.
+    fill_buf: Vec<Word>,
+    /// One block of scratch: a dirty victim's words on their way to
+    /// memory.
+    victim_buf: Vec<Word>,
 }
 
 impl IllinoisSystem {
@@ -54,16 +60,31 @@ impl IllinoisSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `config.pes` is zero.
+    /// Panics with the [`ConfigError`] that [`IllinoisSystem::try_new`]
+    /// returns.
     pub fn new(config: SystemConfig) -> IllinoisSystem {
-        assert!(config.pes > 0, "need at least one PE");
+        match IllinoisSystem::try_new(config) {
+            Ok(system) => system,
+            Err(e) => panic!("bad system configuration: {e}"),
+        }
+    }
+
+    /// Builds an Illinois system with all caches empty.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] from [`SystemConfig::validate`]: the same PE
+    /// and geometry limits as [`pim_cache::PimSystem`].
+    pub fn try_new(config: SystemConfig) -> Result<IllinoisSystem, ConfigError> {
+        config.validate()?;
+        let block = vec![0; config.geometry.block_words as usize];
         let caches = (0..config.pes)
             .map(|_| CacheArray::new(config.geometry))
             .collect();
         let lockdirs = (0..config.pes)
             .map(|_| LockDirectory::new(config.lock_entries))
             .collect();
-        IllinoisSystem {
+        Ok(IllinoisSystem {
             config,
             caches,
             lockdirs,
@@ -74,7 +95,9 @@ impl IllinoisSystem {
             lock_stats: LockStats::new(),
             observer: None,
             now: 0,
-        }
+            fill_buf: block.clone(),
+            victim_buf: block,
+        })
     }
 
     /// The cache state of `addr` in `pe`'s cache (testing hook).
@@ -116,31 +139,26 @@ impl IllinoisSystem {
         changed
     }
 
-    fn cache_invalidate(&mut self, pe: PeId, addr: Addr) -> Option<(BlockState, Vec<Word>)> {
-        let dropped = self.caches[pe.index()].invalidate(addr);
-        if self.observer.is_some() {
-            if let Some((from, _)) = &dropped {
-                self.emit_transition(pe, addr, *from, BlockState::Inv);
-            }
+    fn cache_invalidate(&mut self, pe: PeId, addr: Addr) {
+        if let Some(from) = self.caches[pe.index()].invalidate(addr) {
+            self.emit_transition(pe, addr, from, BlockState::Inv);
         }
-        dropped
     }
 
+    /// Installs `data` as `base`'s block in `pe`'s cache. A dirty
+    /// victim's words are left in `victim_buf` for the swap-out.
     fn cache_install(
         &mut self,
         pe: PeId,
         base: Addr,
-        data: Vec<Word>,
+        data: &[Word],
         state: BlockState,
     ) -> Option<Eviction> {
-        let evicted = self.caches[pe.index()].install(base, data, state);
-        if self.observer.is_some() {
-            if let Some(ev) = &evicted {
-                let (ev_base, ev_state) = (ev.base, ev.state);
-                self.emit_transition(pe, ev_base, ev_state, BlockState::Inv);
-            }
-            self.emit_transition(pe, base, BlockState::Inv, state);
+        let evicted = self.caches[pe.index()].install(base, data, state, &mut self.victim_buf);
+        if let Some(ev) = evicted {
+            self.emit_transition(pe, ev.base, ev.state, BlockState::Inv);
         }
+        self.emit_transition(pe, base, BlockState::Inv, state);
         evicted
     }
 
@@ -207,12 +225,14 @@ impl IllinoisSystem {
         });
 
         let supplier = self.find_supplier(pe, base);
-        let (data, state, from_cache) = match supplier {
+        let mut data = std::mem::take(&mut self.fill_buf);
+        let (state, from_cache) = match supplier {
             Some((sup, sup_state)) => {
                 let dirty = sup_state.is_dirty();
-                let Some(data) = self.caches[sup.index()].snapshot(base) else {
+                let Some(block) = self.caches[sup.index()].block(base) else {
                     unreachable!("find_supplier returned a PE without the block")
                 };
+                data.copy_from_slice(block);
                 if dirty {
                     // Illinois: the memory controller captures the data as
                     // it crosses the bus — the block becomes clean.
@@ -234,22 +254,22 @@ impl IllinoisSystem {
                 } else {
                     BlockState::Shared
                 };
-                (data, state, true)
+                (state, true)
             }
             None => {
-                let mut data = vec![0; bw as usize];
                 self.memory.read_block(base, &mut data);
-                (data, BlockState::Ec, false)
+                (BlockState::Ec, false)
             }
         };
 
         let mut swap_out = false;
-        if let Some(ev) = self.cache_install(pe, base, data, state) {
+        if let Some(ev) = self.cache_install(pe, base, &data, state) {
             if ev.state.is_dirty() {
-                self.memory.write_block(ev.base, &ev.data);
+                self.memory.write_block(ev.base, &self.victim_buf);
                 swap_out = true;
             }
         }
+        self.fill_buf = data;
 
         let tx = if from_cache {
             Transaction::CacheToCache { swap_out }

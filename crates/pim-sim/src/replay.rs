@@ -15,13 +15,21 @@ use pim_trace::{Access, Addr, MemOp, MemoryPort, PeId, PortValue, Word};
 pub struct Replayer {
     streams: Vec<Vec<Access>>,
     cursors: Vec<usize>,
+    /// Accesses not yet replayed, kept in step with `cursors` so an idle
+    /// PE's poll need not sum every stream.
+    left: usize,
 }
 
 impl Replayer {
     /// Builds a replayer from one access stream per PE.
     pub fn new(streams: Vec<Vec<Access>>) -> Replayer {
         let cursors = vec![0; streams.len()];
-        Replayer { streams, cursors }
+        let left = streams.iter().map(Vec::len).sum();
+        Replayer {
+            streams,
+            cursors,
+            left,
+        }
     }
 
     /// Splits a merged trace by issuing PE. `pes` fixes the PE count (PEs
@@ -90,11 +98,16 @@ impl Replayer {
             }
             self.cursors[i] = cursor;
         }
+        self.left = self.count_left();
         Ok(())
     }
 
     /// Accesses remaining to replay.
     pub fn remaining(&self) -> usize {
+        self.left
+    }
+
+    fn count_left(&self) -> usize {
         self.streams
             .iter()
             .zip(&self.cursors)
@@ -113,7 +126,7 @@ impl Process for Replayer {
         let cursor = self.cursors[i];
         match self.streams[i].get(cursor) {
             None => {
-                if self.remaining() == 0 {
+                if self.left == 0 {
                     StepOutcome::Finished
                 } else {
                     StepOutcome::Idle
@@ -130,6 +143,7 @@ impl Process for Replayer {
                     PortValue::Stall => StepOutcome::Stalled,
                     PortValue::Value(_) => {
                         self.cursors[i] = cursor + 1;
+                        self.left -= 1;
                         StepOutcome::Ran
                     }
                 }
@@ -196,6 +210,7 @@ impl ShardableProcess for Replayer {
             self.streams.push(shard.stream);
             self.cursors.push(shard.cursor);
         }
+        self.left = self.count_left();
     }
 }
 

@@ -15,7 +15,7 @@
 //! protocols = pim, illinois
 //! benches   = tri, semi
 //! scales    = smoke
-//! pes       = 1, 2, 4
+//! pes       = 1, 2, 4    # each 1 to 64
 //! # axes (optional, default 4)
 //! blocks    = 4
 //! # supervision policy (optional)
@@ -28,7 +28,7 @@
 //! deterministically on every attempt — the self-test target for the
 //! retry/quarantine machinery.
 
-use pim_cache::SystemConfig;
+use pim_cache::{SystemConfig, MAX_PES};
 use pim_ckpt::fnv1a64;
 use workloads::runner::Protocol;
 use workloads::{Bench, Scale};
@@ -192,6 +192,11 @@ impl SweepSpec {
                         if n == 0 {
                             return Err(format!("sweep spec line {lineno}: pes must be >= 1"));
                         }
+                        if n > MAX_PES {
+                            return Err(format!(
+                                "sweep spec line {lineno}: pes {n} is more than the maximum of {MAX_PES}"
+                            ));
+                        }
                         pes.push(n);
                     }
                 }
@@ -352,6 +357,8 @@ mod tests {
         assert!(e.contains("missing the `pes` axis"), "{e}");
         let e = SweepSpec::parse("blocks = 3\n").unwrap_err();
         assert!(e.contains("power of two"), "{e}");
+        let e = SweepSpec::parse("pes = 64, 65\n").unwrap_err();
+        assert!(e.contains("line 1") && e.contains("pes 65"), "{e}");
     }
 
     #[test]

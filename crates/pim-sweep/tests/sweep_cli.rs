@@ -332,6 +332,27 @@ fn flag_and_spec_errors_exit_2_with_the_flag_named() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn spec_pes_above_the_maximum_exit_2_naming_the_axis() {
+    let dir = tempdir("maxpes");
+    let spec = write_spec(
+        &dir,
+        "wide.sweep",
+        "protocols = pim\nbenches = tri\nscales = smoke\npes = 4, 65\n",
+    );
+    let out = sweeprun()
+        .args(["--sweep", spec.to_str().unwrap()])
+        .output()
+        .expect("sweeprun runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = stderr_of(&out);
+    assert!(
+        stderr.contains("line 4: pes 65 is more than the maximum of 64"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[cfg(unix)]
 #[test]
 fn sigint_drains_to_the_journal_and_exits_130_with_a_resume_hint() {

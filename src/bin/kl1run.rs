@@ -4,7 +4,7 @@
 //! kl1run [options] <program.fghc> [goal]
 //!
 //! options:
-//!   --pes N           processing elements (default 8, must be >= 1)
+//!   --pes N           processing elements (default 8, 1 to 64)
 //!   --threads N       accepted for symmetry with tracesim; the KL1
 //!                     abstract machine steps its PEs through shared
 //!                     state, so the simulation always runs on the
@@ -73,7 +73,7 @@
 //! ```
 
 use kl1_machine::{Cluster, ClusterConfig};
-use pim_cache::{OptMask, PimSystem, SystemConfig};
+use pim_cache::{OptMask, PimSystem, SystemConfig, MAX_PES};
 use pim_fault::{FaultConfig, FaultPlan, FaultStats};
 use pim_obs::{Fanout, Json, Observer, SharedMetrics};
 use pim_repro::report;
@@ -265,6 +265,13 @@ fn parse_args() -> Options {
     }
     if opts.pes == 0 {
         eprintln!("kl1run: --pes must be at least 1");
+        std::process::exit(2);
+    }
+    if opts.pes > MAX_PES {
+        eprintln!(
+            "kl1run: --pes {} is more than the maximum of {MAX_PES}",
+            opts.pes
+        );
         std::process::exit(2);
     }
     opts

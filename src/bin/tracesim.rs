@@ -5,7 +5,8 @@
 //! tracesim [options] <trace.txt>
 //!
 //! options:
-//!   --pes N          processing elements (default: 1 + max PE in trace)
+//!   --pes N          processing elements (default: 1 + max PE in trace;
+//!                    at most 64)
 //!   --illinois       Illinois baseline instead of the PIM protocol
 //!   --no-opt         downgrade DW/DWD/ER/RP/RI to plain R/W
 //!   --block W        cache block words (default 4)
@@ -89,7 +90,7 @@
 //! ```
 
 use pim_bus::BusTiming;
-use pim_cache::{CacheGeometry, OptMask, PimSystem, SystemConfig};
+use pim_cache::{CacheGeometry, OptMask, PimSystem, SystemConfig, MAX_PES};
 use pim_fault::{FaultConfig, FaultPlan, FaultStats};
 use pim_obs::{Fanout, Json, Observer, SharedMetrics};
 use pim_repro::report;
@@ -158,7 +159,14 @@ fn main() {
             })
         };
         match a.as_str() {
-            "--pes" => pes = Some(next_u64("pes") as u32),
+            "--pes" => {
+                let n = next_u64("pes");
+                if n > u64::from(MAX_PES) {
+                    eprintln!("tracesim: --pes {n} is more than the maximum of {MAX_PES}");
+                    std::process::exit(2);
+                }
+                pes = Some(n as u32);
+            }
             "--illinois" => illinois = true,
             "--perf" => perf = true,
             "--no-opt" => no_opt = true,
@@ -371,6 +379,13 @@ fn main() {
             std::process::exit(2);
         }
         Some(n) => n,
+        None if needed > MAX_PES => {
+            eprintln!(
+                "tracesim: the trace references PE {} but at most {MAX_PES} PEs are supported",
+                needed - 1
+            );
+            std::process::exit(1);
+        }
         None => needed,
     };
     let config = SystemConfig {

@@ -149,6 +149,45 @@ fn kl1run_rejects_zero_pes_with_named_flag() {
 }
 
 #[test]
+fn pes_above_the_maximum_is_a_named_flag_error_on_both_tools() {
+    let kl1 = kl1run()
+        .args(["--pes", "65", "examples/fghc/hanoi.fghc"])
+        .output()
+        .expect("runs");
+    let trace = tracesim()
+        .args(["--gen", "aurora", "--pes", "65"])
+        .output()
+        .expect("runs");
+    for out in [kl1, trace] {
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--pes 65 is more than the maximum of 64"),
+            "{stderr}"
+        );
+    }
+    // 64 PEs is allowed; a trace naming PE 64 without --pes is refused.
+    let dir = std::env::temp_dir().join("tracesim_cli_maxpes");
+    std::fs::create_dir_all(&dir).unwrap();
+    let heap = pim_trace::AreaMap::standard().base(pim_trace::StorageArea::Heap);
+    for (pe, ok) in [(63, true), (64, false)] {
+        let path = dir.join(format!("pe{pe}.txt"));
+        std::fs::write(
+            &path,
+            format!("0 W {heap:#x} heap\n{pe} R {heap:#x} heap\n"),
+        )
+        .unwrap();
+        let out = tracesim().arg(&path).output().expect("runs");
+        assert_eq!(
+            out.status.success(),
+            ok,
+            "PE {pe}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
 fn kl1run_rejects_zero_threads_with_named_flag() {
     let out = kl1run()
         .args(["--threads", "0", "examples/fghc/hanoi.fghc"])
