@@ -23,6 +23,12 @@
 
 use bench::suite::{self, Mode};
 
+// With `--features perf-alloc`, count allocations so `--perf` breakdowns
+// carry per-phase allocation columns (`"alloc_counting": true`).
+#[cfg(feature = "perf-alloc")]
+#[global_allocator]
+static ALLOC: pim_perf::CountingAlloc = pim_perf::CountingAlloc;
+
 const DEFAULT_OUT: &str = "BENCH_0006.json";
 
 fn usage() -> ! {

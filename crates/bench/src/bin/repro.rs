@@ -51,6 +51,12 @@ use pim_obs::Json;
 use std::path::PathBuf;
 use workloads::Scale;
 
+// With `--features perf-alloc`, count allocations so `--perf` breakdowns
+// carry per-phase allocation columns (`"alloc_counting": true`).
+#[cfg(feature = "perf-alloc")]
+#[global_allocator]
+static ALLOC: pim_perf::CountingAlloc = pim_perf::CountingAlloc;
+
 fn main() {
     let wall_start = std::time::Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -613,9 +613,9 @@ impl Cluster {
         &self,
         port: &mut dyn MemoryPort,
         base: Addr,
-        words: &[Word],
+        words: impl IntoIterator<Item = Word>,
     ) -> Mres<()> {
-        for (i, &w) in words.iter().enumerate() {
+        for (i, w) in words.into_iter().enumerate() {
             let a = base + i as Addr;
             let op = if a.is_multiple_of(self.config.block_words) {
                 MemOp::DirectWrite
@@ -627,17 +627,18 @@ impl Cluster {
         Ok(())
     }
 
-    /// Reads a read-once record: `ER` throughout, `RP` for a final word
-    /// that does not land on a block end (paper Section 3.2).
+    /// Reads a read-once record of `out.len()` words into `out`: `ER`
+    /// throughout, `RP` for a final word that does not land on a block end
+    /// (paper Section 3.2).
     pub(crate) fn read_record(
         &self,
         port: &mut dyn MemoryPort,
         base: Addr,
-        len: u64,
-    ) -> Mres<Vec<Word>> {
+        out: &mut [Word],
+    ) -> Mres<()> {
         let bw = self.config.block_words;
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
+        let len = out.len() as u64;
+        for (i, slot) in (0..len).zip(out.iter_mut()) {
             let a = base + i;
             let last_of_region = i == len - 1;
             let ends_block = a % bw == bw - 1;
@@ -646,9 +647,9 @@ impl Cluster {
             } else {
                 MemOp::ExclusiveRead
             };
-            out.push(pv(port.op(op, a, None))?);
+            *slot = pv(port.op(op, a, None))?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Which PE's suspension slice contains `addr`.
@@ -687,21 +688,17 @@ impl Cluster {
     // Goal management
     // ------------------------------------------------------------------
 
-    /// Creates a goal record from header + argument words and returns its
-    /// address. The record is *not* enqueued.
-    pub(crate) fn make_goal_record(
-        &mut self,
-        pe: usize,
+    /// Writes the goal record at `rec` (from `PeAllocators::goal_record`):
+    /// a header, then the argument words. The record is *not* enqueued.
+    pub(crate) fn write_goal_record(
+        &self,
         port: &mut dyn MemoryPort,
+        rec: Addr,
         proc: ProcId,
-        args: &[Word],
-    ) -> Mres<Addr> {
-        let rec = self.pes[pe].alloc.goal_record();
-        let mut words = Vec::with_capacity(1 + args.len());
-        words.push(Tagged::Functor(proc, args.len() as u8).encode());
-        words.extend_from_slice(args);
-        self.write_record(port, rec, &words)?;
-        Ok(rec)
+        args: impl ExactSizeIterator<Item = Word>,
+    ) -> Mres<()> {
+        let header = Tagged::Functor(proc, args.len() as u8).encode();
+        self.write_record(port, rec, std::iter::once(header).chain(args))
     }
 
     /// Loads the goal record at `rec` into `pe`'s registers and recycles
@@ -728,14 +725,16 @@ impl Cluster {
             }
         };
         if argc > 0 {
-            let args = self.read_record(port, rec + 1, u64::from(argc))?;
+            let mut buf = [0; u8::MAX as usize];
+            let args = &mut buf[..usize::from(argc)];
+            self.read_record(port, rec + 1, args)?;
             if let Some(&w) = args.iter().find(|&&w| w == 0) {
                 return Err(Abort::Fatal(MachineError::CorruptGoalRecord {
                     rec,
                     word: w,
                 }));
             }
-            self.pes[pe].regs[..argc as usize].copy_from_slice(&args);
+            self.pes[pe].regs[..argc as usize].copy_from_slice(args);
         }
         let owner = self.goal_owner(rec)?;
         self.pes[owner].alloc.free_goal_record(rec);
@@ -901,70 +900,83 @@ impl Cluster {
     // step boundary — the LWAIT window of Table 5)
     // ------------------------------------------------------------------
 
+    /// One step of a goal suspension: hook the next variable (lock it and
+    /// prepare a suspension record), or publish the hook and unlock.
+    ///
+    /// The phase is only changed after the step's last stall point, so a
+    /// stalled step leaves the suspension state as it found it (see
+    /// [`PhaseMark`]).
     fn suspend_step(&mut self, pe: usize, port: &mut dyn MemoryPort) -> Mres<StepOutcome> {
-        let mut st = match &self.pes[pe].phase {
-            Phase::Suspend(s) => s.clone(),
-            other => unreachable!("suspend_step in {other:?}"),
+        let Phase::Suspend(st) = &self.pes[pe].phase else {
+            unreachable!("suspend_step in {:?}", self.pes[pe].phase)
         };
+        let (rec, idx, locked, srec) = (st.rec, st.idx, st.locked, st.srec);
+        let v = st.vars[idx];
+        let last = idx + 1 == st.vars.len();
         // Already resumed by a binder (possibly spuriously)? Stop hooking.
-        if !self.floating.contains(&st.rec) {
-            self.pes[pe].phase = Phase::Fetch;
+        if !self.floating.contains(&rec) {
+            self.end_suspension(pe);
             return Ok(StepOutcome::Ran);
         }
-        if st.locked {
+        if locked {
             // Second half: publish the hook and release the lock.
-            let v = st.vars[st.idx];
-            pv(port.write_unlock(v, Tagged::Hook(st.srec).encode()))?;
-            st.locked = false;
-            st.idx += 1;
-            self.pes[pe].phase = if st.idx == st.vars.len() {
-                Phase::Fetch
+            pv(port.write_unlock(v, Tagged::Hook(srec).encode()))?;
+            if last {
+                self.end_suspension(pe);
             } else {
-                Phase::Suspend(st)
-            };
+                let st = self.suspend_state(pe);
+                st.locked = false;
+                st.idx += 1;
+            }
             return Ok(StepOutcome::Ran);
         }
-        let v = st.vars[st.idx];
         let w = pv(port.lock_read(v))?; // stall point (nothing held yet)
-        match Tagged::decode(w) {
-            Tagged::Ref(a) if a == v => {
-                // Still unbound, no previous waiters.
-                let srec = self.pes[pe].alloc.susp_record();
-                self.write_record(
-                    port,
-                    srec,
-                    &[Tagged::Ref(st.rec).encode(), Tagged::Nil.encode()],
-                )?;
-                st.srec = srec;
-                st.locked = true;
-                self.pes[pe].phase = Phase::Suspend(st);
-            }
-            Tagged::Hook(prev) => {
-                // Unbound with existing waiters: chain in front.
-                let srec = self.pes[pe].alloc.susp_record();
-                self.write_record(
-                    port,
-                    srec,
-                    &[Tagged::Ref(st.rec).encode(), Tagged::Ref(prev).encode()],
-                )?;
-                st.srec = srec;
-                st.locked = true;
-                self.pes[pe].phase = Phase::Suspend(st);
-            }
+        let next = match Tagged::decode(w) {
+            // Still unbound, no previous waiters.
+            Tagged::Ref(a) if a == v => Tagged::Nil,
+            // Unbound with existing waiters: chain in front.
+            Tagged::Hook(prev) => Tagged::Ref(prev),
             _bound => {
                 // The variable was bound while we prepared to hook: the
                 // goal is runnable again right now.
                 pv(port.unlock(v))?;
-                if self.floating.remove(&st.rec) {
-                    self.pes[pe].deque.push_front(st.rec);
+                if self.floating.remove(&rec) {
+                    self.pes[pe].deque.push_front(rec);
                     if let Some(obs) = self.observer.as_deref_mut() {
-                        obs.resumption(PeId(pe as u32), port.now(), st.rec);
+                        obs.resumption(PeId(pe as u32), port.now(), rec);
                     }
                 }
-                self.pes[pe].phase = Phase::Fetch;
+                self.end_suspension(pe);
+                return Ok(StepOutcome::Ran);
             }
-        }
+        };
+        let srec = self.pes[pe].alloc.susp_record();
+        self.write_record(port, srec, [Tagged::Ref(rec).encode(), next.encode()])?;
+        let st = self.suspend_state(pe);
+        st.srec = srec;
+        st.locked = true;
         Ok(StepOutcome::Ran)
+    }
+
+    /// `pe`'s in-progress suspension.
+    fn suspend_state(&mut self, pe: usize) -> &mut SuspendState {
+        match &mut self.pes[pe].phase {
+            Phase::Suspend(st) => st,
+            other => unreachable!("no suspension in {other:?}"),
+        }
+    }
+
+    /// Leaves the suspension phase for `Fetch`, keeping the variable
+    /// list's buffer for the PE's next guard (the list is empty while a
+    /// PE suspends).
+    fn end_suspension(&mut self, pe: usize) {
+        let st = &mut self.pes[pe];
+        if let Phase::Suspend(s) = std::mem::replace(&mut st.phase, Phase::Fetch) {
+            debug_assert!(st.susp_vars.is_empty(), "guard variables while suspending");
+            let mut vars = s.vars;
+            vars.clear();
+            st.susp_vars = vars;
+        }
     }
 
     /// Enters the suspension phase from `NoMoreClauses` (same step):
@@ -977,8 +989,9 @@ impl Cluster {
         vars.sort_unstable();
         vars.dedup();
         debug_assert!(!vars.is_empty());
-        let args: Vec<Word> = self.pes[pe].regs[..argc as usize].to_vec();
-        let rec = self.make_goal_record(pe, port, proc, &args)?;
+        let rec = self.pes[pe].alloc.goal_record();
+        let args = self.pes[pe].regs[..usize::from(argc)].iter().copied();
+        self.write_goal_record(port, rec, proc, args)?;
         self.floating.insert(rec);
         self.pes[pe].suspensions += 1;
         if let Some(obs) = self.observer.as_deref_mut() {
@@ -1005,7 +1018,11 @@ impl Cluster {
             pc: st.pc,
             clause_fail: st.clause_fail,
             susp_len: st.susp_vars.len(),
-            phase: st.phase.clone(),
+            phase: match st.phase {
+                Phase::Fetch => PhaseMark::Fetch,
+                Phase::Run => PhaseMark::Run,
+                Phase::Suspend(_) => PhaseMark::Suspend,
+            },
             current: st.current,
             alloc: st.alloc.mark(),
         }
@@ -1016,17 +1033,36 @@ impl Cluster {
         st.pc = undo.pc;
         st.clause_fail = undo.clause_fail;
         st.susp_vars.truncate(undo.susp_len);
-        st.phase = undo.phase;
+        match undo.phase {
+            PhaseMark::Fetch => st.phase = Phase::Fetch,
+            PhaseMark::Run => st.phase = Phase::Run,
+            PhaseMark::Suspend => {
+                debug_assert!(
+                    matches!(st.phase, Phase::Suspend(_)),
+                    "stall left the suspension"
+                );
+            }
+        }
         st.current = undo.current;
         st.alloc.rollback(undo.alloc);
     }
+}
+
+/// The phase a stalled step returns to. `Fetch` and `Run` carry no
+/// state; a suspension is never changed before a step's last stall
+/// point (see `suspend_step`), so a stall finds it intact and the mark
+/// needs no copy of it.
+enum PhaseMark {
+    Fetch,
+    Run,
+    Suspend,
 }
 
 struct Undo {
     pc: CodeAddr,
     clause_fail: CodeAddr,
     susp_len: usize,
-    phase: Phase,
+    phase: PhaseMark,
     current: Option<(ProcId, u8)>,
     alloc: crate::layout::AllocMark,
 }
@@ -1064,7 +1100,7 @@ impl Process for Cluster {
             if self.serve_request(pe, port)? {
                 return Ok(StepOutcome::Ran);
             }
-            match self.pes[pe].phase.clone() {
+            match self.pes[pe].phase {
                 Phase::Fetch => self.fetch_step(pe, port),
                 Phase::Run => {
                     self.exec_instr(pe, port)?;

@@ -61,6 +61,28 @@ enum UndoRec {
     StateOnly { line: u32, state: BlockState },
 }
 
+/// A resident line, as resolved by [`CacheArray::lookup`]: where the
+/// block sits in the array and the state it had at lookup.
+///
+/// Resolving the line once lets an operation read, write, re-state or
+/// purge it without searching the set again. A line stays valid until
+/// its own array installs a block or changes that line's state through
+/// another path; the protocol only holds one across operations on
+/// *other* PEs' caches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Line {
+    index: usize,
+    state: BlockState,
+}
+
+impl Line {
+    /// The line's state when it was looked up.
+    #[inline]
+    pub(crate) fn state(self) -> BlockState {
+        self.state
+    }
+}
+
 /// The valid line a fill displaced, as returned by
 /// [`CacheArray::install`]. A dirty victim's words are not carried here:
 /// `install` writes them into the caller's victim buffer.
@@ -155,11 +177,13 @@ impl CacheArray {
         &self.geometry
     }
 
+    #[inline]
     fn set_range(&self, set: u64) -> std::ops::Range<usize> {
         let start = (set * self.geometry.ways) as usize;
         start..start + self.geometry.ways as usize
     }
 
+    #[inline]
     fn find(&self, addr: Addr) -> Option<usize> {
         let (tag, set, _) = self.geometry.decompose(addr);
         self.set_range(set)
@@ -167,29 +191,31 @@ impl CacheArray {
     }
 
     /// Index into `data` of word `offset` of line `line`.
+    #[inline]
     fn word_index(&self, line: usize, offset: u64) -> usize {
         line * self.geometry.block_words as usize + offset as usize
     }
 
-    fn line_words(&self, line: usize) -> std::ops::Range<usize> {
-        let start = self.word_index(line, 0);
-        start..start + self.geometry.block_words as usize
+    /// Index into `data` of `addr`'s word in line `line`.
+    #[inline]
+    fn addr_index(&self, line: usize, addr: Addr) -> usize {
+        self.word_index(line, addr & (self.geometry.block_words - 1))
     }
 
-    /// The state of the block containing `addr` ([`BlockState::Inv`] if
-    /// absent).
-    pub fn state_of(&self, addr: Addr) -> BlockState {
-        self.find(addr).map_or(BlockState::Inv, |i| self.states[i])
+    /// The resident line holding `addr`'s block, if any: one set search
+    /// that the `*_line` methods below then reuse.
+    #[inline]
+    pub(crate) fn lookup(&self, addr: Addr) -> Option<Line> {
+        self.find(addr).map(|index| Line {
+            index,
+            state: self.states[index],
+        })
     }
 
-    /// Whether the block containing `addr` is resident.
-    pub fn contains(&self, addr: Addr) -> bool {
-        self.find(addr).is_some()
-    }
-
-    /// Reads the word at `addr` if resident, bumping LRU.
-    pub fn read(&mut self, addr: Addr) -> Option<Word> {
-        let i = self.find(addr)?;
+    /// Reads `addr`'s word from `line`, bumping LRU.
+    #[inline(always)]
+    pub(crate) fn read_line(&mut self, line: Line, addr: Addr) -> Word {
+        let i = line.index;
         if self.speculative {
             self.log.push(UndoRec::Touch {
                 line: i as u32,
@@ -198,22 +224,25 @@ impl CacheArray {
             });
         }
         self.touch(i);
-        let (_, _, offset) = self.geometry.decompose(addr);
-        Some(self.data[self.word_index(i, offset)])
+        self.data[self.addr_index(i, addr)]
     }
 
-    /// Writes the word at `addr` if resident, bumping LRU and moving the
-    /// state to `new_state` (the protocol decides the state).
-    pub fn write(&mut self, addr: Addr, value: Word, new_state: BlockState) -> bool {
-        let Some(i) = self.find(addr) else {
-            return false;
-        };
-        let (_, _, offset) = self.geometry.decompose(addr);
-        let at = self.word_index(i, offset);
+    /// Writes `addr`'s word in `line`, bumping LRU and moving the line to
+    /// `new_state` (the protocol decides the state).
+    #[inline(always)]
+    pub(crate) fn write_line(
+        &mut self,
+        line: Line,
+        addr: Addr,
+        value: Word,
+        new_state: BlockState,
+    ) {
+        let i = line.index;
+        let at = self.addr_index(i, addr);
         if self.speculative {
             self.log.push(UndoRec::Write {
                 line: i as u32,
-                offset: offset as u32,
+                offset: (addr & (self.geometry.block_words - 1)) as u32,
                 word: self.data[at],
                 state: self.states[i],
                 last_used: self.last_used[i],
@@ -223,16 +252,73 @@ impl CacheArray {
         self.touch(i);
         self.data[at] = value;
         self.states[i] = new_state;
+    }
+
+    /// Sets `line`'s state without touching data or LRU (snoop-induced
+    /// transitions).
+    #[inline]
+    pub(crate) fn set_line_state(&mut self, line: Line, state: BlockState) {
+        debug_assert!(!self.speculative, "set_state is not a speculative path");
+        self.states[line.index] = state;
+    }
+
+    /// Invalidates `line`, returning its state before.
+    #[inline]
+    pub(crate) fn invalidate_line(&mut self, line: Line) -> BlockState {
+        let i = line.index;
+        let state = self.states[i];
+        if self.speculative {
+            self.log.push(UndoRec::StateOnly {
+                line: i as u32,
+                state,
+            });
+        }
+        self.states[i] = BlockState::Inv;
+        state
+    }
+
+    fn line_words(&self, line: usize) -> std::ops::Range<usize> {
+        let start = self.word_index(line, 0);
+        start..start + self.geometry.block_words as usize
+    }
+
+    /// The state of the block containing `addr` ([`BlockState::Inv`] if
+    /// absent).
+    #[inline]
+    pub fn state_of(&self, addr: Addr) -> BlockState {
+        self.find(addr).map_or(BlockState::Inv, |i| self.states[i])
+    }
+
+    /// Whether the block containing `addr` is resident.
+    #[inline]
+    pub fn contains(&self, addr: Addr) -> bool {
+        self.find(addr).is_some()
+    }
+
+    /// Reads the word at `addr` if resident, bumping LRU.
+    #[inline]
+    pub fn read(&mut self, addr: Addr) -> Option<Word> {
+        let line = self.lookup(addr)?;
+        Some(self.read_line(line, addr))
+    }
+
+    /// Writes the word at `addr` if resident, bumping LRU and moving the
+    /// state to `new_state` (the protocol decides the state).
+    #[inline]
+    pub fn write(&mut self, addr: Addr, value: Word, new_state: BlockState) -> bool {
+        let Some(line) = self.lookup(addr) else {
+            return false;
+        };
+        self.write_line(line, addr, value, new_state);
         true
     }
 
     /// Sets the state of a resident block without touching data or LRU
     /// (snoop-induced transitions).
     pub fn set_state(&mut self, addr: Addr, state: BlockState) -> bool {
-        debug_assert!(!self.speculative, "set_state is not a speculative path");
-        match self.find(addr) {
-            Some(i) => {
-                self.states[i] = state;
+        match self.lookup(addr) {
+            Some(line) => {
+                self.set_line_state(line, state);
                 true
             }
             None => false,
@@ -243,16 +329,8 @@ impl CacheArray {
     /// A caller that needs the data (cache-to-cache supply) reads it with
     /// [`CacheArray::block`] first.
     pub fn invalidate(&mut self, addr: Addr) -> Option<BlockState> {
-        let i = self.find(addr)?;
-        let state = self.states[i];
-        if self.speculative {
-            self.log.push(UndoRec::StateOnly {
-                line: i as u32,
-                state,
-            });
-        }
-        self.states[i] = BlockState::Inv;
-        Some(state)
+        let line = self.lookup(addr)?;
+        Some(self.invalidate_line(line))
     }
 
     /// A resident block's words, without changing anything
@@ -354,6 +432,7 @@ impl CacheArray {
             })
     }
 
+    #[inline]
     fn touch(&mut self, i: usize) {
         self.clock += 1;
         self.last_used[i] = self.clock;

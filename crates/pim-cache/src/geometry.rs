@@ -105,16 +105,19 @@ impl CacheGeometry {
     }
 
     /// log2 of the block size: the width of the block-offset field.
+    #[inline]
     fn offset_bits(&self) -> u32 {
         self.block_words.trailing_zeros()
     }
 
     /// log2 of the set count: the width of the set-index field.
+    #[inline]
     fn set_bits(&self) -> u32 {
         self.sets.trailing_zeros()
     }
 
     /// Splits an address into `(tag, set index, block offset)`.
+    #[inline]
     pub fn decompose(&self, addr: Addr) -> (u64, u64, u64) {
         let offset = addr & (self.block_words - 1);
         let block = self.block_number(addr);
@@ -125,29 +128,34 @@ impl CacheGeometry {
 
     /// The global number of the block containing `addr` (its address with
     /// the offset field shifted out).
+    #[inline]
     pub fn block_number(&self, addr: Addr) -> u64 {
         addr >> self.offset_bits()
     }
 
     /// The first address of the block containing `addr`.
+    #[inline]
     pub fn block_base(&self, addr: Addr) -> Addr {
         addr & !(self.block_words - 1)
     }
 
     /// Whether `addr` is the first word of its block (the `DW`
     /// block-boundary condition of Section 3.2).
+    #[inline]
     pub fn is_block_boundary(&self, addr: Addr) -> bool {
         addr & (self.block_words - 1) == 0
     }
 
     /// Whether `addr` is the last word of its block (the `ER` purge
     /// condition of Section 3.2).
+    #[inline]
     pub fn is_last_word(&self, addr: Addr) -> bool {
         let mask = self.block_words - 1;
         addr & mask == mask
     }
 
     /// Reconstructs a block's base address from its tag and set index.
+    #[inline]
     pub fn recompose(&self, tag: u64, set: u64) -> Addr {
         ((tag << self.set_bits()) | set) << self.offset_bits()
     }

@@ -8,7 +8,7 @@
 //! and snoops the bus to refuse remote access to them.
 
 use crate::ProtocolError;
-use pim_trace::{Addr, PeId};
+use pim_trace::{Addr, PeId, PeSet};
 use std::fmt;
 
 /// State of one lock-directory entry.
@@ -34,7 +34,7 @@ impl fmt::Display for LockState {
 struct Entry {
     addr: Addr,
     state: LockState,
-    waiters: Vec<PeId>,
+    waiters: PeSet,
 }
 
 /// One PE's lock directory.
@@ -52,6 +52,7 @@ struct Entry {
 /// assert_eq!(dir.state_of(100), Some(LockState::Lwait));
 /// let woken = dir.unlock(100).unwrap();
 /// assert_eq!(woken, vec![PeId(1)]);
+/// assert!(dir.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct LockDirectory {
@@ -90,18 +91,20 @@ impl LockDirectory {
         self.entries.push(Entry {
             addr,
             state: LockState::Lck,
-            waiters: Vec::new(),
+            waiters: PeSet::default(),
         });
         Ok(())
     }
 
     /// Releases the lock on `addr`, returning the PEs that were waiting
     /// (empty when the entry was still `LCK` — the common, bus-free case).
+    /// A set, not a queue: waiters are woken in ascending PE id, whatever
+    /// order they were refused in.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::NotLocked`] if this PE does not hold `addr`.
-    pub fn unlock(&mut self, addr: Addr) -> Result<Vec<PeId>, ProtocolError> {
+    pub fn unlock(&mut self, addr: Addr) -> Result<PeSet, ProtocolError> {
         match self.entries.iter().position(|e| e.addr == addr) {
             Some(i) => Ok(self.entries.swap_remove(i).waiters),
             None => Err(ProtocolError::NotLocked { addr }),
@@ -146,9 +149,7 @@ impl LockDirectory {
             panic!("waiter registered on unheld lock {addr:#x}")
         };
         e.state = LockState::Lwait;
-        if !e.waiters.contains(&waiter) {
-            e.waiters.push(waiter);
-        }
+        e.waiters.insert(waiter);
     }
 
     /// Number of live entries.
@@ -166,18 +167,19 @@ impl LockDirectory {
         self.entries.iter().map(|e| e.addr)
     }
 
-    /// The PEs registered as busy-waiters on `addr` (empty if the word is
-    /// unheld or uncontended) — inspection hook for invariant checks.
+    /// The PEs registered as busy-waiters on `addr` in ascending id order
+    /// (empty if the word is unheld or uncontended) — inspection hook for
+    /// invariant checks.
     pub fn waiters(&self, addr: Addr) -> Vec<PeId> {
         self.entries
             .iter()
             .find(|e| e.addr == addr)
-            .map(|e| e.waiters.clone())
+            .map(|e| e.waiters.iter().collect())
             .unwrap_or_default()
     }
 
     /// Checkpoint hook: serializes the capacity and every live entry with
-    /// its waiter queue in order.
+    /// its waiters as a length-prefixed list in ascending PE id.
     pub fn save_ckpt(&self, w: &mut pim_ckpt::Writer) {
         w.put_len(self.capacity);
         w.put_len(self.entries.len());
@@ -188,7 +190,7 @@ impl LockDirectory {
                 LockState::Lwait => 1,
             });
             w.put_len(e.waiters.len());
-            for &pe in &e.waiters {
+            for pe in e.waiters.iter() {
                 w.put_u64(pe.0 as u64);
             }
         }
@@ -233,9 +235,19 @@ impl LockDirectory {
                     })
                 }
             };
-            let waiters = (0..r.get_len()?)
-                .map(|_| r.get_u64().map(|v| PeId(v as u32)))
-                .collect::<Result<Vec<_>, _>>()?;
+            let mut waiters = PeSet::default();
+            for _ in 0..r.get_len()? {
+                let pe = r.get_u64()?;
+                if pe >= u64::from(crate::MAX_PES) {
+                    return Err(pim_ckpt::CkptError::Corrupt {
+                        detail: format!(
+                            "lock waiter PE{pe} beyond the {} PE limit",
+                            crate::MAX_PES
+                        ),
+                    });
+                }
+                waiters.insert(PeId(pe as u32));
+            }
             self.entries.push(Entry {
                 addr,
                 state,
@@ -256,7 +268,7 @@ mod tests {
         d.lock(10).unwrap();
         assert!(d.holds(10));
         assert_eq!(d.state_of(10), Some(LockState::Lck));
-        assert_eq!(d.unlock(10).unwrap(), vec![]);
+        assert!(d.unlock(10).unwrap().is_empty());
         assert!(d.is_empty());
     }
 
@@ -295,11 +307,39 @@ mod tests {
     fn waiters_move_entry_to_lwait_and_drain() {
         let mut d = LockDirectory::new(1);
         d.lock(10).unwrap();
-        d.register_waiter(10, PeId(2));
         d.register_waiter(10, PeId(3));
-        d.register_waiter(10, PeId(2)); // duplicate ignored
+        d.register_waiter(10, PeId(2));
+        d.register_waiter(10, PeId(3)); // duplicate ignored
         assert_eq!(d.state_of(10), Some(LockState::Lwait));
+        // Woken in ascending PE id, not in refusal order.
         assert_eq!(d.unlock(10).unwrap(), vec![PeId(2), PeId(3)]);
+    }
+
+    #[test]
+    fn waiters_round_trip_and_out_of_range_ones_are_refused() {
+        let mut d = LockDirectory::new(2);
+        d.lock(10).unwrap();
+        d.register_waiter(10, PeId(63));
+        d.register_waiter(10, PeId(1));
+        let mut w = pim_ckpt::Writer::new();
+        d.save_ckpt(&mut w);
+        let mut back = LockDirectory::new(2);
+        back.restore_ckpt(&mut pim_ckpt::Reader::new(w.payload()))
+            .unwrap();
+        assert_eq!(back.waiters(10), vec![PeId(1), PeId(63)]);
+
+        // The same entry with a waiter no PE mask can name.
+        let mut w = pim_ckpt::Writer::new();
+        w.put_len(2);
+        w.put_len(1);
+        w.put_u64(10);
+        w.put_u8(1);
+        w.put_len(1);
+        w.put_u64(64);
+        let err = back
+            .restore_ckpt(&mut pim_ckpt::Reader::new(w.payload()))
+            .unwrap_err();
+        assert!(err.to_string().contains("PE64"), "{err}");
     }
 
     #[test]

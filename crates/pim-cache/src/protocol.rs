@@ -29,15 +29,22 @@
 //! On a refusal the requester receives [`Outcome::LockBusy`] and must retry
 //! after the holder's `UL` broadcast — the woken PEs are reported in
 //! [`Outcome::Done::woken`] of the unlocking operation.
+//!
+//! # One lookup per reference
+//!
+//! A hit resolves its cache line once (`CacheArray::lookup`) and reads,
+//! writes, re-states or purges that `Line` directly. Remote snoops and
+//! bus transactions in between touch only *other* PEs' caches, so the
+//! resolved line stays valid for the rest of the operation.
 
-use crate::array::{CacheArray, Eviction, DW_POISON};
+use crate::array::{CacheArray, Eviction, Line, DW_POISON};
 use crate::{
     AccessStats, BlockState, CacheGeometry, ConfigError, LockDirectory, LockState, LockStats,
     OptMask, ProtocolError,
 };
 use pim_bus::{BusCommand, BusStats, BusTiming, SharedMemory, Transaction};
 use pim_obs::Observer;
-use pim_trace::{Access, Addr, AreaMap, MemOp, PeId, RefStats, StorageArea, Word};
+use pim_trace::{pes_in, Access, Addr, AreaMap, MemOp, PeId, PeSet, RefStats, StorageArea, Word};
 use std::collections::HashMap;
 
 /// The most PEs a [`PimSystem`] (or any system sharing its snoop index)
@@ -105,8 +112,9 @@ pub enum Outcome {
         /// Whether the cache lookup hit a resident block.
         hit: bool,
         /// PEs woken by an `UL` broadcast (only ever non-empty for
-        /// `UW`/`U` on an `LWAIT` entry).
-        woken: Vec<PeId>,
+        /// `UW`/`U` on an `LWAIT` entry). A set: the waiters wake in
+        /// ascending PE id, not in the order they were refused.
+        woken: PeSet,
     },
     /// The operation hit a word locked by `holder` and received an `LH`
     /// response; the issuer must busy-wait and retry after `holder`
@@ -260,36 +268,34 @@ impl PeShard {
         let mut purged = None;
         let mut transition = None;
         let value = match eff {
-            MemOp::Read => self.cache.read(addr)?,
-            MemOp::Write => self.local_write(addr, data, &mut transition)?,
-            MemOp::DirectWrite => {
-                if self.geometry.is_block_boundary(addr) && !self.cache.contains(addr) {
-                    return None; // the allocate path checks remote caches
-                }
-                self.local_write(addr, data, &mut transition)?
+            // Lock traffic always goes through the global protocol: even a
+            // bus-free LR hit consults every remote lock directory.
+            MemOp::LockRead | MemOp::WriteUnlock | MemOp::Unlock => return None,
+            // Every other local operation is a hit on one resolved line; a
+            // miss (including the DW/DWD allocate path, which checks remote
+            // caches) goes global.
+            MemOp::Read | MemOp::ReadInvalidate => {
+                let line = self.cache.lookup(addr)?;
+                self.cache.read_line(line, addr)
             }
-            MemOp::DirectWriteDown => {
-                if self.geometry.is_last_word(addr) && !self.cache.contains(addr) {
-                    return None;
-                }
-                self.local_write(addr, data, &mut transition)?
+            MemOp::Write | MemOp::DirectWrite | MemOp::DirectWriteDown => {
+                let line = self.cache.lookup(addr)?;
+                self.local_write(line, addr, data, &mut transition)?
             }
             MemOp::ExclusiveRead => {
-                let value = self.cache.read(addr)?;
+                let line = self.cache.lookup(addr)?;
+                let value = self.cache.read_line(line, addr);
                 if self.geometry.is_last_word(addr) {
-                    self.local_purge(addr, &mut purged, &mut transition);
+                    self.local_purge(line, &mut purged, &mut transition);
                 }
                 value
             }
             MemOp::ReadPurge => {
-                let value = self.cache.read(addr)?;
-                self.local_purge(addr, &mut purged, &mut transition);
+                let line = self.cache.lookup(addr)?;
+                let value = self.cache.read_line(line, addr);
+                self.local_purge(line, &mut purged, &mut transition);
                 value
             }
-            MemOp::ReadInvalidate => self.cache.read(addr)?,
-            // Lock traffic always goes through the global protocol: even a
-            // bus-free LR hit consults every remote lock directory.
-            MemOp::LockRead | MemOp::WriteUnlock | MemOp::Unlock => return None,
         };
         self.pending.push(LocalEffect {
             cache_mark,
@@ -307,36 +313,34 @@ impl PeShard {
     /// needs an upgrade broadcast or a fill.
     fn local_write(
         &mut self,
+        line: Line,
         addr: Addr,
         data: Option<Word>,
         transition: &mut Option<(BlockState, BlockState)>,
     ) -> Option<Word> {
-        let from = self.cache.state_of(addr);
-        match from {
-            BlockState::Em | BlockState::Ec => {
-                let Some(value) = data else {
-                    unreachable!("write operations always carry a data word")
-                };
-                self.cache.write(addr, value, BlockState::Em);
-                if from == BlockState::Ec {
-                    *transition = Some((BlockState::Ec, BlockState::Em));
-                }
-                Some(value)
-            }
-            _ => None,
+        let from = line.state();
+        if !from.is_exclusive() {
+            return None;
         }
+        let Some(value) = data else {
+            unreachable!("write operations always carry a data word")
+        };
+        self.cache.write_line(line, addr, value, BlockState::Em);
+        if from == BlockState::Ec {
+            *transition = Some((BlockState::Ec, BlockState::Em));
+        }
+        Some(value)
     }
 
     fn local_purge(
         &mut self,
-        addr: Addr,
+        line: Line,
         purged: &mut Option<bool>,
         transition: &mut Option<(BlockState, BlockState)>,
     ) {
-        if let Some(state) = self.cache.invalidate(addr) {
-            *purged = Some(state.is_dirty());
-            *transition = Some((state, BlockState::Inv));
-        }
+        let state = self.cache.invalidate_line(line);
+        *purged = Some(state.is_dirty());
+        *transition = Some((state, BlockState::Inv));
     }
 
     /// Number of uncommitted speculative operations.
@@ -430,7 +434,7 @@ impl SnoopIndex {
     }
 
     fn add_holder(&mut self, block: u64, pe: PeId) {
-        *self.holders.entry(block).or_insert(0) |= pe_bit(pe);
+        *self.holders.entry(block).or_insert(0) |= pe.bit();
     }
 
     fn remove_holder(&mut self, block: u64, pe: PeId) {
@@ -438,7 +442,7 @@ impl SnoopIndex {
     }
 
     fn add_locker(&mut self, block: u64, pe: PeId) {
-        *self.lockers.entry(block).or_insert(0) |= pe_bit(pe);
+        *self.lockers.entry(block).or_insert(0) |= pe.bit();
     }
 
     fn remove_locker(&mut self, block: u64, pe: PeId) {
@@ -461,28 +465,13 @@ impl SnoopIndex {
     }
 }
 
-fn pe_bit(pe: PeId) -> u64 {
-    1 << pe.0
-}
-
 fn clear_bit(map: &mut BlockMap, block: u64, pe: PeId) {
     if let Some(mask) = map.get_mut(&block) {
-        *mask &= !pe_bit(pe);
+        *mask &= !pe.bit();
         if *mask == 0 {
             map.remove(&block);
         }
     }
-}
-
-/// The PEs named by `mask`, in ascending order.
-fn pes_in(mut mask: u64) -> impl Iterator<Item = PeId> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let pe = PeId(mask.trailing_zeros());
-            mask &= mask - 1;
-            pe
-        })
-    })
 }
 
 /// The PIM multiprocessor memory system (Section 3 of the paper).
@@ -806,11 +795,13 @@ impl PimSystem {
     /// Sets the simulated cycle stamped onto observer events emitted by
     /// the protocol. The driving engine calls this before each
     /// [`PimSystem::access`] with the operation's issue cycle.
+    #[inline]
     pub fn set_now(&mut self, cycle: u64) {
         self.now = cycle;
     }
 
     /// The configured area map.
+    #[inline]
     pub fn area_map(&self) -> &AreaMap {
         &self.config.area_map
     }
@@ -919,16 +910,39 @@ impl PimSystem {
         }
     }
 
-    fn cache_write(&mut self, pe: PeId, addr: Addr, value: Word, state: BlockState) -> bool {
-        if self.observer.is_none() {
-            return self.shards[pe.index()].cache.write(addr, value, state);
+    /// The line holding `addr`'s block in `pe`'s cache, if resident.
+    #[inline]
+    fn lookup(&self, pe: PeId, addr: Addr) -> Option<Line> {
+        self.shards[pe.index()].cache.lookup(addr)
+    }
+
+    /// Writes `addr`'s word into `pe`'s resident `line`, moving it to
+    /// `state`.
+    #[inline(always)]
+    fn write_line(&mut self, pe: PeId, line: Line, addr: Addr, value: Word, state: BlockState) {
+        self.shards[pe.index()]
+            .cache
+            .write_line(line, addr, value, state);
+        if line.state() != state {
+            self.emit_transition(pe, addr, line.state(), state);
         }
-        let from = self.shards[pe.index()].cache.state_of(addr);
-        let wrote = self.shards[pe.index()].cache.write(addr, value, state);
-        if wrote && from != state {
-            self.emit_transition(pe, addr, from, state);
+    }
+
+    /// Moves `pe`'s resident `line` to `state`.
+    fn set_line_state(&mut self, pe: PeId, line: Line, addr: Addr, state: BlockState) {
+        self.shards[pe.index()].cache.set_line_state(line, state);
+        if line.state() != state {
+            self.emit_transition(pe, addr, line.state(), state);
         }
-        wrote
+    }
+
+    /// Writes a word the protocol has just made resident in `pe`'s cache
+    /// (by a fill), moving its block to `state`.
+    fn write_filled(&mut self, pe: PeId, addr: Addr, value: Word, state: BlockState) {
+        let Some(line) = self.lookup(pe, addr) else {
+            unreachable!("word {addr:#x} filled into PE{}", pe.0)
+        };
+        self.write_line(pe, line, addr, value, state);
     }
 
     /// Reads a word the protocol has just verified (or made) resident
@@ -941,24 +955,25 @@ impl PimSystem {
         value
     }
 
-    fn cache_set_state(&mut self, pe: PeId, addr: Addr, state: BlockState) -> bool {
-        if self.observer.is_none() {
-            return self.shards[pe.index()].cache.set_state(addr, state);
+    fn cache_set_state(&mut self, pe: PeId, addr: Addr, state: BlockState) {
+        if let Some(line) = self.lookup(pe, addr) {
+            self.set_line_state(pe, line, addr, state);
         }
-        let from = self.shards[pe.index()].cache.state_of(addr);
-        let changed = self.shards[pe.index()].cache.set_state(addr, state);
-        if changed && from != state {
-            self.emit_transition(pe, addr, from, state);
-        }
-        changed
     }
 
     fn cache_invalidate(&mut self, pe: PeId, addr: Addr) -> Option<BlockState> {
-        let dropped = self.shards[pe.index()].cache.invalidate(addr)?;
+        let line = self.lookup(pe, addr)?;
+        Some(self.drop_line(pe, line, addr))
+    }
+
+    /// Invalidates `pe`'s resident `line` (holding `addr`'s block),
+    /// returning its state before.
+    fn drop_line(&mut self, pe: PeId, line: Line, addr: Addr) -> BlockState {
+        let dropped = self.shards[pe.index()].cache.invalidate_line(line);
         let block = self.config.geometry.block_number(addr);
         self.snoop.remove_holder(block, pe);
         self.emit_transition(pe, addr, dropped, BlockState::Inv);
-        Some(dropped)
+        dropped
     }
 
     /// Installs `data` as `base`'s block in `pe`'s cache. A dirty
@@ -992,7 +1007,7 @@ impl PimSystem {
     /// any: `(holder, locked word)`.
     fn lock_conflict(&self, requester: PeId, base: Addr) -> Option<(PeId, Addr)> {
         let geom = &self.config.geometry;
-        let lockers = self.snoop.lockers(geom.block_number(base)) & !pe_bit(requester);
+        let lockers = self.snoop.lockers(geom.block_number(base)) & !requester.bit();
         pes_in(lockers).find_map(|pe| {
             self.shards[pe.index()]
                 .lockdir
@@ -1005,7 +1020,7 @@ impl PimSystem {
     /// [`SnoopIndex`]).
     fn remote_holders(&self, requester: PeId, addr: Addr) -> u64 {
         let block = self.config.geometry.block_number(addr);
-        self.snoop.holders(block) & !pe_bit(requester)
+        self.snoop.holders(block) & !requester.bit()
     }
 
     /// Registers `requester` as a busy-waiter on `holder`'s lock and
@@ -1213,12 +1228,27 @@ impl PimSystem {
     // Memory operations (Section 3.2)
     // ------------------------------------------------------------------
 
+    #[inline]
     fn read(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
+        let line = self.lookup(pe, addr);
+        self.read_at(pe, addr, area, line)
+    }
+
+    /// `R` with `addr`'s line already resolved.
+    #[inline(always)]
+    fn read_at(&mut self, pe: PeId, addr: Addr, area: StorageArea, line: Option<Line>) -> Outcome {
         self.access_stats.lookups += 1;
-        if let Some(value) = self.shards[pe.index()].cache.read(addr) {
-            self.access_stats.hits += 1;
-            return done(value, 0, true);
-        }
+        let Some(line) = line else {
+            return self.read_miss(pe, addr, area);
+        };
+        self.access_stats.hits += 1;
+        let value = self.shards[pe.index()].cache.read_line(line, addr);
+        done(value, 0, true)
+    }
+
+    /// The fill half of `R`, kept out of line so the hit path stays small.
+    #[inline(never)]
+    fn read_miss(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
         match self.fill(pe, addr, false, true, false, area) {
             FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
             FillOutcome::Filled(f) => {
@@ -1228,31 +1258,67 @@ impl PimSystem {
         }
     }
 
+    #[inline]
     fn write(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
+        let line = self.lookup(pe, addr);
+        self.write_at(pe, addr, value, area, line)
+    }
+
+    /// `W` with `addr`'s line already resolved: exclusive states write
+    /// locally, shared ones upgrade first, a miss fills exclusively.
+    #[inline(always)]
+    fn write_at(
+        &mut self,
+        pe: PeId,
+        addr: Addr,
+        value: Word,
+        area: StorageArea,
+        line: Option<Line>,
+    ) -> Outcome {
         self.access_stats.lookups += 1;
-        match self.shards[pe.index()].cache.state_of(addr) {
-            BlockState::Em | BlockState::Ec => {
+        match line {
+            Some(line) if line.state().is_exclusive() => {
                 self.access_stats.hits += 1;
-                self.cache_write(pe, addr, value, BlockState::Em);
+                self.write_line(pe, line, addr, value, BlockState::Em);
                 done(value, 0, true)
             }
-            BlockState::Sm | BlockState::Shared => {
+            Some(line) => {
                 self.access_stats.hits += 1;
-                match self.upgrade(pe, addr, false, area) {
-                    Err(holder) => Outcome::LockBusy { holder },
-                    Ok((cycles, _)) => {
-                        self.cache_write(pe, addr, value, BlockState::Em);
-                        done(value, cycles, true)
-                    }
-                }
+                self.write_upgrade(pe, line, addr, value, area)
             }
-            BlockState::Inv => match self.fill(pe, addr, true, true, false, area) {
-                FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
-                FillOutcome::Filled(f) => {
-                    self.cache_write(pe, addr, value, BlockState::Em);
-                    done(value, f.cycles, false)
-                }
-            },
+            None => self.write_miss(pe, addr, value, area),
+        }
+    }
+
+    /// The fill half of `W`, kept out of line so the hit path stays small.
+    #[inline(never)]
+    fn write_miss(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
+        match self.fill(pe, addr, true, true, false, area) {
+            FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
+            FillOutcome::Filled(f) => {
+                self.write_filled(pe, addr, value, BlockState::Em);
+                done(value, f.cycles, false)
+            }
+        }
+    }
+
+    /// A `W` hit on an `SM` or `S` line: invalidate the other copies,
+    /// then write.
+    #[inline(never)]
+    fn write_upgrade(
+        &mut self,
+        pe: PeId,
+        line: Line,
+        addr: Addr,
+        value: Word,
+        area: StorageArea,
+    ) -> Outcome {
+        match self.upgrade(pe, addr, false, area) {
+            Err(holder) => Outcome::LockBusy { holder },
+            Ok((cycles, _)) => {
+                self.write_line(pe, line, addr, value, BlockState::Em);
+                done(value, cycles, true)
+            }
         }
     }
 
@@ -1260,10 +1326,10 @@ impl PimSystem {
     /// copies, allocate without fetching; otherwise behave as `W`.
     /// Optimizes *upward*-growing allocation (heap, records).
     fn direct_write(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
-        let geom = self.config.geometry;
-        if !geom.is_block_boundary(addr) || self.shards[pe.index()].cache.contains(addr) {
+        let line = self.lookup(pe, addr);
+        if line.is_some() || !self.config.geometry.is_block_boundary(addr) {
             // Case (ii): not a boundary (or already resident): plain write.
-            return self.write(pe, addr, value, area);
+            return self.write_at(pe, addr, value, area, line);
         }
         self.direct_allocate(pe, addr, value, area)
     }
@@ -1279,14 +1345,15 @@ impl PimSystem {
         value: Word,
         area: StorageArea,
     ) -> Outcome {
-        let geom = self.config.geometry;
-        if !geom.is_last_word(addr) || self.shards[pe.index()].cache.contains(addr) {
-            return self.write(pe, addr, value, area);
+        let line = self.lookup(pe, addr);
+        if line.is_some() || !self.config.geometry.is_last_word(addr) {
+            return self.write_at(pe, addr, value, area, line);
         }
         self.direct_allocate(pe, addr, value, area)
     }
 
-    /// The shared allocate-without-fetch path of `DW`/`DWD`.
+    /// The shared allocate-without-fetch path of `DW`/`DWD`, for a block
+    /// not resident in `pe`'s cache.
     fn direct_allocate(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
         let geom = self.config.geometry;
         if self.held_remotely(pe, addr) {
@@ -1294,7 +1361,7 @@ impl PimSystem {
             // corresponding cache block") is violated; fall back to W and
             // count it so workloads can be audited.
             self.access_stats.dw_contract_violations += 1;
-            return self.write(pe, addr, value, area);
+            return self.write_at(pe, addr, value, area, None);
         }
 
         self.access_stats.lookups += 1;
@@ -1330,18 +1397,14 @@ impl PimSystem {
     /// otherwise.
     fn exclusive_read(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
         let geom = self.config.geometry;
-        let resident = self.shards[pe.index()].cache.contains(addr);
-        if resident {
+        let line = self.lookup(pe, addr);
+        if let Some(line) = line {
             if geom.is_last_word(addr) {
                 // Case (ii): read, then forcibly purge the local block —
                 // dead data is discarded without a swap-out.
-                self.access_stats.lookups += 1;
-                self.access_stats.hits += 1;
-                let value = self.read_resident(pe, addr);
-                self.purge_local(pe, addr);
-                return done(value, 0, true);
+                return self.read_and_purge(pe, addr, line);
             }
-            return self.read(pe, addr, area);
+            return self.read_at(pe, addr, area, Some(line));
         }
         if self.find_supplier(pe, addr).is_some() && !geom.is_last_word(addr) {
             // Case (i): fetch with invalidation of the supplier (RI).
@@ -1355,20 +1418,17 @@ impl PimSystem {
             };
         }
         // Case (iii): automatic downgrade to R.
-        self.read(pe, addr, area)
+        self.read_at(pe, addr, area, None)
     }
 
     /// `RP` (Section 3.2 (3)): read and forcibly purge; on a miss the
     /// supplier is invalidated and the transferred block bypasses the
     /// local cache entirely (it would be purged immediately anyway).
     fn read_purge(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
-        self.access_stats.lookups += 1;
-        if self.shards[pe.index()].cache.contains(addr) {
-            self.access_stats.hits += 1;
-            let value = self.read_resident(pe, addr);
-            self.purge_local(pe, addr);
-            return done(value, 0, true);
+        if let Some(line) = self.lookup(pe, addr) {
+            return self.read_and_purge(pe, addr, line);
         }
+        self.access_stats.lookups += 1;
         match self.fill(pe, addr, true, false, false, area) {
             FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
             FillOutcome::Filled(f) => {
@@ -1382,11 +1442,26 @@ impl PimSystem {
         }
     }
 
+    /// The bus-free purging hit of `ER` and `RP`: read `addr` from `pe`'s
+    /// resident `line`, then drop the line without a swap-out.
+    fn read_and_purge(&mut self, pe: PeId, addr: Addr, line: Line) -> Outcome {
+        self.access_stats.lookups += 1;
+        self.access_stats.hits += 1;
+        let value = self.shards[pe.index()].cache.read_line(line, addr);
+        let state = self.drop_line(pe, line, addr);
+        self.access_stats.purges += 1;
+        if state.is_dirty() {
+            self.access_stats.dirty_purges += 1;
+        }
+        done(value, 0, true)
+    }
+
     /// `RI` (Section 3.2 (4)): read with intent to rewrite — a miss
     /// fetches exclusively (`FI`) so the later write needs no `I`.
     fn read_invalidate(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
-        if self.shards[pe.index()].cache.contains(addr) {
-            return self.read(pe, addr, area);
+        let line = self.lookup(pe, addr);
+        if line.is_some() {
+            return self.read_at(pe, addr, area, line);
         }
         self.access_stats.lookups += 1;
         match self.fill(pe, addr, true, true, false, area) {
@@ -1394,15 +1469,6 @@ impl PimSystem {
             FillOutcome::Filled(f) => {
                 let value = self.read_resident(pe, addr);
                 done(value, f.cycles, false)
-            }
-        }
-    }
-
-    fn purge_local(&mut self, pe: PeId, addr: Addr) {
-        if let Some(state) = self.cache_invalidate(pe, addr) {
-            self.access_stats.purges += 1;
-            if state.is_dirty() {
-                self.access_stats.dirty_purges += 1;
             }
         }
     }
@@ -1429,9 +1495,8 @@ impl PimSystem {
         }
 
         self.access_stats.lookups += 1;
-        let state = self.shards[pe.index()].cache.state_of(addr);
-        let outcome = match state {
-            BlockState::Em | BlockState::Ec => {
+        let outcome = match self.lookup(pe, addr) {
+            Some(line) if line.state().is_exclusive() => {
                 // The bus-free case the hardware lock exists for: no other
                 // cache can hold the block, so registering locally is safe.
                 self.lock_word(pe, addr)?;
@@ -1439,30 +1504,30 @@ impl PimSystem {
                 self.lock_stats.lr_hits += 1;
                 self.lock_stats.lr_hits_exclusive += 1;
                 self.access_stats.hits += 1;
-                let value = self.read_resident(pe, addr);
+                let value = self.shards[pe.index()].cache.read_line(line, addr);
                 done(value, 0, true)
             }
-            BlockState::Sm | BlockState::Shared => {
+            Some(line) => {
                 let (cycles, dropped_dirty) = match self.upgrade(pe, addr, true, area) {
                     Err(holder) => return Ok(Outcome::LockBusy { holder }),
                     Ok(c) => c,
                 };
                 // If we were SM, or we dropped the SM owner's copy, the
                 // data differs from memory: keep the dirty obligation.
-                let upgraded = if state == BlockState::Sm || dropped_dirty {
+                let upgraded = if line.state() == BlockState::Sm || dropped_dirty {
                     BlockState::Em
                 } else {
                     BlockState::Ec
                 };
-                self.cache_set_state(pe, addr, upgraded);
+                self.set_line_state(pe, line, addr, upgraded);
                 self.lock_word(pe, addr)?;
                 self.lock_stats.lr_total += 1;
                 self.lock_stats.lr_hits += 1;
                 self.access_stats.hits += 1;
-                let value = self.read_resident(pe, addr);
+                let value = self.shards[pe.index()].cache.read_line(line, addr);
                 done(value, cycles, true)
             }
-            BlockState::Inv => match self.fill(pe, addr, true, true, true, area) {
+            None => match self.fill(pe, addr, true, true, true, area) {
                 FillOutcome::Refused { holder } => return Ok(Outcome::LockBusy { holder }),
                 FillOutcome::Filled(f) => {
                     self.lock_word(pe, addr)?;
@@ -1544,7 +1609,7 @@ impl PimSystem {
         pe: PeId,
         addr: Addr,
         area: StorageArea,
-    ) -> Result<(u64, Vec<PeId>), ProtocolError> {
+    ) -> Result<(u64, PeSet), ProtocolError> {
         let geom = self.config.geometry;
         let dir = &mut self.shards[pe.index()].lockdir;
         let woken = dir.unlock(addr)?;
@@ -1679,12 +1744,13 @@ impl PimSystem {
     }
 }
 
+#[inline]
 fn done(value: Word, bus_cycles: u64, hit: bool) -> Outcome {
     Outcome::Done {
         value,
         bus_cycles,
         hit,
-        woken: Vec::new(),
+        woken: PeSet::default(),
     }
 }
 

@@ -7,14 +7,15 @@
 //!
 //! * a miss-heavy shared heap stream driven straight through
 //!   [`PimSystem::access`] makes no allocation at all;
-//! * a lock-churn stream driven through the engine allocates only for
-//!   `LH` refusals (a lock's first waiter starts its waiter list), at most
-//!   once per refusal.
+//! * 16-PE `Engine::run` replays of the same heap stream and of a
+//!   contended lock-churn stream make no allocation per step either: not
+//!   in the scheduler's pick, not for `LH` refusals (waiters are a PE
+//!   mask), not for wake-ups.
 
 use pim_bus::BusTiming;
 use pim_cache::{CacheGeometry, OptMask, PimSystem, SystemConfig};
 use pim_sim::{Engine, Replayer};
-use pim_trace::{Access, Word};
+use pim_trace::{Access, MemoryPort, PeId, Process, StepOutcome, Word};
 
 #[global_allocator]
 static ALLOC: pim_perf::CountingAlloc = pim_perf::CountingAlloc;
@@ -63,30 +64,84 @@ fn shared_heap_misses_make_no_allocation_after_warm_up() {
     sys.check_coherence_invariants().expect("coherent");
 }
 
-#[test]
-fn lock_churn_allocates_at_most_once_per_refusal() {
-    let stream = workloads::synthetic::lock_churn(PES, 5_000, 10, 7);
-    let mut replayer = Replayer::from_merged(&stream, PES);
+/// A replayer that counts the allocations made between the starts of
+/// consecutive steps once `warm_up` steps have run: everything the engine
+/// does for a step — the scheduler's pick, the access, bus arbitration,
+/// lock refusals and wake-ups — and the replay itself.
+struct CountingReplayer {
+    inner: Replayer,
+    warm_up: u64,
+    steps: u64,
+    last: u64,
+    allocs: u64,
+}
+
+impl CountingReplayer {
+    fn new(stream: &[Access], warm_up: u64) -> CountingReplayer {
+        CountingReplayer {
+            inner: Replayer::from_merged(stream, PES),
+            warm_up,
+            steps: 0,
+            last: 0,
+            allocs: 0,
+        }
+    }
+}
+
+impl Process for CountingReplayer {
+    fn pe_count(&self) -> u32 {
+        self.inner.pe_count()
+    }
+
+    fn step(&mut self, pe: PeId, port: &mut dyn MemoryPort) -> StepOutcome {
+        let now = pim_perf::thread_allocs();
+        if self.steps > self.warm_up {
+            self.allocs += now - self.last;
+        }
+        self.last = now;
+        self.steps += 1;
+        self.inner.step(pe, port)
+    }
+}
+
+/// Replays `stream` through a 16-PE `Engine` to completion and returns
+/// the engine and the allocations counted after `warm_up` steps.
+fn replay_counting(stream: &[Access], warm_up: u64) -> (Engine<PimSystem>, u64, u64) {
+    let mut replayer = CountingReplayer::new(stream, warm_up);
     let mut engine = Engine::new(system(), PES);
-    let warm_up = engine.run(&mut replayer, 100_000).expect("fault-free run");
-    assert!(!warm_up.finished);
-
-    let refused_before = engine.system().lock_stats().lr_refused;
-    let before = pim_perf::thread_allocs();
     let stats = engine.run(&mut replayer, u64::MAX).expect("fault-free run");
-    let allocs = pim_perf::thread_allocs() - before;
-    let refused = engine.system().lock_stats().lr_refused - refused_before;
-
     assert!(stats.finished);
-    assert!(refused > 10_000, "the stream must contend: {refused}");
-    // `Engine::run` returns per-PE clock and cycle vectors: two allocations
-    // per call, whatever the stream.
     assert!(
-        allocs <= refused + 2,
-        "{allocs} allocations for {refused} refusals"
+        replayer.steps > 2 * warm_up,
+        "the measured stretch must outlast the warm-up: {} steps",
+        replayer.steps
     );
     engine
         .system()
         .check_coherence_invariants()
         .expect("coherent");
+    (engine, replayer.steps, replayer.allocs)
+}
+
+#[test]
+fn lock_churn_makes_no_allocation_after_warm_up() {
+    let stream = workloads::synthetic::lock_churn(PES, 5_000, 10, 7);
+    let (engine, steps, allocs) = replay_counting(&stream, 100_000);
+    let refused = engine.system().lock_stats().lr_refused;
+    assert!(refused > 10_000, "the stream must contend: {refused}");
+    // Refusals register waiters in a PE mask, and wake-ups reuse the
+    // engine's buffer: neither allocates.
+    assert_eq!(allocs, 0, "{allocs} allocations over {steps} steps");
+}
+
+#[test]
+fn heap_mix_replay_through_the_engine_makes_no_allocation_after_warm_up() {
+    let stream = workloads::synthetic::shared_heap_mix(PES, 150_000, 30, 1 << 14, 11);
+    let (engine, steps, allocs) = replay_counting(&stream, 50_000);
+    let a = engine.system().access_stats();
+    assert!(
+        a.lookups - a.hits > 100_000,
+        "the stream must stay miss-heavy"
+    );
+    assert_eq!(allocs, 0, "{allocs} allocations over {steps} steps");
 }

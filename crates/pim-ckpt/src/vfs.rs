@@ -478,6 +478,10 @@ pub fn summary_line() -> Option<String> {
 /// Serializes and scopes a plan for in-process tests: holds a global
 /// test gate (so concurrent `#[test]`s never fight over the one
 /// process-wide plan) and uninstalls on drop.
+///
+/// A test that does vfs I/O *without* a plan while other tests install
+/// one takes the gate with [`ScopedIoChaos::quiet`]; otherwise its
+/// operations would run under, and count in, another test's plan.
 pub struct ScopedIoChaos {
     _gate: MutexGuard<'static, ()>,
 }
@@ -485,13 +489,25 @@ pub struct ScopedIoChaos {
 impl ScopedIoChaos {
     /// Installs `cfg` until the returned guard drops.
     pub fn install(cfg: IoChaosConfig) -> ScopedIoChaos {
-        static GATE: Mutex<()> = Mutex::new(());
-        let gate = match GATE.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let gate = ScopedIoChaos::gate();
         install(cfg);
         ScopedIoChaos { _gate: gate }
+    }
+
+    /// Holds the test gate with no plan installed until the returned
+    /// guard drops: vfs I/O under it runs on the bare filesystem.
+    pub fn quiet() -> ScopedIoChaos {
+        let gate = ScopedIoChaos::gate();
+        uninstall();
+        ScopedIoChaos { _gate: gate }
+    }
+
+    fn gate() -> MutexGuard<'static, ()> {
+        static GATE: Mutex<()> = Mutex::new(());
+        match GATE.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
     }
 }
 

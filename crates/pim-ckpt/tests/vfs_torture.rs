@@ -94,6 +94,7 @@ proptest! {
         }
         // ... and on the bare filesystem once chaos is gone: the final
         // durable file is a complete, parseable checkpoint.
+        let _quiet = ScopedIoChaos::quiet();
         let got = load_from_path(&path).unwrap();
         prop_assert!(got.ends_with(payloads.last().unwrap().as_slice()));
         let stray: Vec<_> = std::fs::read_dir(&dir)
@@ -169,7 +170,10 @@ proptest! {
 fn dead_disk_fails_loud_and_preserves_the_old_file() {
     let dir = scratch("dead");
     let path = dir.join("state.ck");
-    save_to_path(&path, ckpt_bytes(b"survivor")).unwrap();
+    {
+        let _quiet = ScopedIoChaos::quiet();
+        save_to_path(&path, ckpt_bytes(b"survivor")).unwrap();
+    }
     {
         let mut cfg = plan(99, 0, 0xF, 4);
         cfg.kill = Some((PathClass::Checkpoint, 0));
@@ -181,6 +185,7 @@ fn dead_disk_fails_loud_and_preserves_the_old_file() {
         // ... but other classes still work.
         assert!(vfs::read_file(PathClass::Report, &path).is_ok());
     }
+    let _quiet = ScopedIoChaos::quiet();
     let got = load_from_path(&path).unwrap();
     assert!(got.ends_with(b"survivor"));
     std::fs::remove_dir_all(&dir).ok();

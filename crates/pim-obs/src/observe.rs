@@ -6,7 +6,7 @@
 //! already-loaded option and emit nothing; with an observer attached they
 //! deliver structured events carrying simulated-cycle timestamps.
 
-use pim_trace::{Addr, MemOp, PeId, StorageArea};
+use pim_trace::{Addr, MemOp, PeId, PeSet, StorageArea};
 
 /// Cache-block coherence state, mirrored from `pim-cache`'s `BlockState`
 /// so that observers need no dependency on the protocol crate.
@@ -221,15 +221,8 @@ pub trait Observer: std::fmt::Debug {
     }
 
     /// `pe` released the lock on word `addr` in `area` at `cycle` (a
-    /// `UL`/`UW` unlock), waking `woken` stalled PEs (waiter order).
-    fn lock_released(
-        &mut self,
-        pe: PeId,
-        addr: Addr,
-        area: StorageArea,
-        cycle: u64,
-        woken: &[PeId],
-    ) {
+    /// `UL`/`UW` unlock), waking the stalled PEs in `woken`.
+    fn lock_released(&mut self, pe: PeId, addr: Addr, area: StorageArea, cycle: u64, woken: PeSet) {
         let _ = (pe, addr, area, cycle, woken);
     }
 
@@ -363,14 +356,7 @@ impl Observer for Fanout {
         }
     }
 
-    fn lock_released(
-        &mut self,
-        pe: PeId,
-        addr: Addr,
-        area: StorageArea,
-        cycle: u64,
-        woken: &[PeId],
-    ) {
+    fn lock_released(&mut self, pe: PeId, addr: Addr, area: StorageArea, cycle: u64, woken: PeSet) {
         for s in &mut self.sinks {
             s.lock_released(pe, addr, area, cycle, woken);
         }
@@ -483,7 +469,9 @@ mod tests {
         obs.bus_grant(pe, MemOp::Read, StorageArea::Heap, 1, 3, 13);
         obs.lock_wait(pe, 0x80, StorageArea::Goal, 40, 50);
         obs.lock_acquired(pe, 0x80, StorageArea::Goal, 10);
-        obs.lock_released(pe, 0x80, StorageArea::Goal, 12, &[PeId(1)]);
+        let mut woken = PeSet::default();
+        woken.insert(PeId(1));
+        obs.lock_released(pe, 0x80, StorageArea::Goal, 12, woken);
         obs.reduction(pe, 1);
         obs.suspension(pe, 2, 0x100);
         obs.resumption(pe, 3, 0x100);

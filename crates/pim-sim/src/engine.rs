@@ -4,7 +4,9 @@
 //! runnable PE with the lowest clock (ties broken by PE id), so the
 //! interleaving is a legal serialization in simulated-time order — the
 //! deterministic equivalent of the paper's "cache simulators artificially
-//! synchronize among themselves at each simulated bus request".
+//! synchronize among themselves at each simulated bus request". The pick
+//! comes from a [`ClockTree`], updated for the stepped PE and each PE it
+//! woke, so a step costs O(log P) in the PE count, not O(P).
 //!
 //! Timing model per memory operation:
 //!
@@ -15,7 +17,7 @@
 //! * `LH` refusal: the PE blocks (bus-free busy wait) until the holder's
 //!   `UL` broadcast, then retries the whole micro-step.
 
-use crate::{MemorySystem, SimError};
+use crate::{ClockTree, MemorySystem, SimError};
 use pim_cache::Outcome;
 use pim_fault::{arbitrate_with_faults, find_cycle, FaultPlan, FaultStats};
 use pim_obs::{Observer, PeCycles};
@@ -71,6 +73,9 @@ pub struct Engine<S> {
     clocks: Vec<u64>,
     bus_free: u64,
     blocked: Vec<bool>,
+    // The scheduler's pick over `clocks` and `blocked`: derived state,
+    // rebuilt at the start of every run and never checkpointed.
+    tree: ClockTree,
     // For each blocked PE, the holder of the lock it waits on — the
     // out-edges of the LWAIT wait-for graph the deadlock detector
     // searches.
@@ -80,8 +85,8 @@ pub struct Engine<S> {
     // reported deadlock or a checkpoint restore; until a full search
     // clears it, stalls fall back to that search.
     acyclic: bool,
-    // The waiters woken during one step, reused across steps so wake-ups
-    // do not allocate.
+    // The waiters woken during one step, reused across steps and sized
+    // for one wake-up per PE up front, so wake-ups do not allocate.
     woken: Vec<(PeId, Addr, pim_trace::StorageArea)>,
     idle_poll_cycles: u64,
     // Per-PE bus-wait/lock-wait/idle accumulators; `busy` stays zero
@@ -103,9 +108,10 @@ impl<S: MemorySystem> Engine<S> {
             clocks: vec![0; pes as usize],
             bus_free: 0,
             blocked: vec![false; pes as usize],
+            tree: ClockTree::new(pes as usize),
             blocked_on: vec![None; pes as usize],
             acyclic: true,
-            woken: Vec::new(),
+            woken: Vec::with_capacity(pes as usize),
             idle_poll_cycles: 16,
             accounts: vec![PeCycles::default(); pes as usize],
             observer: None,
@@ -275,20 +281,16 @@ impl<S: MemorySystem> Engine<S> {
             "process/engine PE count mismatch"
         );
         let _perf = pim_perf::span(pim_perf::phase::ENGINE_RUN);
+        // Clocks and blocked flags may have moved since the last run
+        // (`with_port`, `restore_ckpt`, an earlier chunk's error exit).
+        self.tree.rebuild(&self.clocks, &self.blocked);
         let mut steps = 0;
         let mut finished = false;
         while steps < max_steps {
             // The runnable PE with the lowest clock, ties to lowest id.
             // With on-block cycle detection below, "every PE blocked" is
             // unreachable — but keep a structured fallback.
-            let Some(pe) = self
-                .clocks
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !self.blocked[i])
-                .min_by_key(|&(i, &c)| (c, i))
-                .map(|(i, _)| PeId(i as u32))
-            else {
+            let Some(pe) = self.tree.pick() else {
                 return Err(self.deadlock_error());
             };
 
@@ -325,6 +327,7 @@ impl<S: MemorySystem> Engine<S> {
                     let c = &mut self.clocks[w.index()];
                     let waited = pe_clock_now.saturating_sub(*c);
                     *c = (*c).max(pe_clock_now);
+                    self.tree.update(w, *c, false);
                     self.accounts[w.index()].lock_wait += waited;
                     if let Some(obs) = self.observer.as_deref_mut() {
                         obs.lock_wait(w, addr, area, waited, pe_clock_now);
@@ -366,6 +369,8 @@ impl<S: MemorySystem> Engine<S> {
                     break;
                 }
             }
+            self.tree
+                .update(pe, self.clocks[pe.index()], self.blocked[pe.index()]);
             if let Some(budget) = self.watchdog {
                 let clock = self.clocks[pe.index()];
                 if clock > budget {
@@ -506,10 +511,7 @@ impl<S: MemorySystem> Engine<S> {
 
 /// Stable checkpoint tag of a [`MemOp`]: its index in [`MemOp::ALL`].
 pub(crate) fn mem_op_tag(op: MemOp) -> u8 {
-    match MemOp::ALL.iter().position(|&o| o == op) {
-        Some(i) => i as u8,
-        None => unreachable!("MemOp::ALL covers every variant"),
-    }
+    op.index() as u8
 }
 
 /// Decodes a [`MemOp`] checkpoint tag.
@@ -642,15 +644,14 @@ impl<S: MemorySystem> MemoryPort for EnginePort<'_, S> {
                         }
                         MemOp::WriteUnlock | MemOp::Unlock => {
                             let area = self.system.area_map().area(addr);
-                            obs.lock_released(self.pe, addr, area, done, &woken);
+                            obs.lock_released(self.pe, addr, area, done, woken);
                         }
                         _ => {}
                     }
                 }
                 if !woken.is_empty() {
                     let area = self.system.area_map().area(addr);
-                    self.woken
-                        .extend(woken.into_iter().map(|w| (w, addr, area)));
+                    self.woken.extend(woken.iter().map(|w| (w, addr, area)));
                 }
                 if let Some(trace) = self.trace.as_mut() {
                     trace.push(Access::new(

@@ -28,7 +28,7 @@ use pim_cache::{
     SystemConfig,
 };
 use pim_obs::Observer;
-use pim_trace::{Access, Addr, AreaMap, MemOp, PeId, RefStats, StorageArea, Word};
+use pim_trace::{Access, Addr, AreaMap, MemOp, PeId, PeSet, RefStats, StorageArea, Word};
 
 /// The Illinois baseline multiprocessor memory system.
 ///
@@ -417,7 +417,7 @@ impl IllinoisSystem {
         pe: PeId,
         addr: Addr,
         area: StorageArea,
-    ) -> Result<(u64, Vec<PeId>), ProtocolError> {
+    ) -> Result<(u64, PeSet), ProtocolError> {
         let woken = self.lockdirs[pe.index()].unlock(addr)?;
         self.lock_stats.unlock_total += 1;
         // Conventional locks always broadcast the release.
@@ -630,7 +630,7 @@ fn done(value: Word, bus_cycles: u64, hit: bool) -> Outcome {
         value,
         bus_cycles,
         hit,
-        woken: Vec::new(),
+        woken: PeSet::default(),
     }
 }
 

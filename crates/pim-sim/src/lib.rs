@@ -26,6 +26,7 @@ pub mod error;
 pub mod illinois;
 pub mod parallel;
 pub mod replay;
+pub mod sched;
 pub mod system;
 
 pub use engine::{Engine, Process, RunStats, StepOutcome};
@@ -33,4 +34,5 @@ pub use error::SimError;
 pub use illinois::IllinoisSystem;
 pub use parallel::{ParallelEngine, ProcessShard, ShardableProcess};
 pub use replay::{ReplayShard, Replayer};
+pub use sched::ClockTree;
 pub use system::{MemorySystem, ShardedSystem, SystemShard};

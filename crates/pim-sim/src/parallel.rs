@@ -956,7 +956,7 @@ impl<S: ShardedSystem> ParallelEngine<S> {
                     match op {
                         MemOp::LockRead => obs.lock_acquired(PeId(p as u32), addr, area, done),
                         MemOp::WriteUnlock | MemOp::Unlock => {
-                            obs.lock_released(PeId(p as u32), addr, area, done, &woken);
+                            obs.lock_released(PeId(p as u32), addr, area, done, woken);
                         }
                         _ => {}
                     }
@@ -966,7 +966,7 @@ impl<S: ShardedSystem> ParallelEngine<S> {
                 *steps_ops += 1;
 
                 let now = lanes[p].clock;
-                for w in woken {
+                for w in woken.iter() {
                     let w = w.index();
                     if w == p {
                         continue;

@@ -183,7 +183,10 @@ impl ShardedSystem for PimSystem {
     }
 }
 
+// The per-reference methods forward with `#[inline]` so an engine
+// instantiated in another crate calls `PimSystem::access` directly.
 impl MemorySystem for PimSystem {
+    #[inline]
     fn access(
         &mut self,
         pe: PeId,
@@ -194,6 +197,7 @@ impl MemorySystem for PimSystem {
         PimSystem::access(self, pe, op, addr, data)
     }
 
+    #[inline]
     fn area_map(&self) -> &AreaMap {
         PimSystem::area_map(self)
     }
@@ -226,6 +230,7 @@ impl MemorySystem for PimSystem {
         PimSystem::set_observer(self, observer)
     }
 
+    #[inline]
     fn set_now(&mut self, cycle: u64) {
         PimSystem::set_now(self, cycle)
     }

@@ -13,8 +13,87 @@ pub struct PeId(pub u32);
 
 impl PeId {
     /// Dense index for per-PE arrays.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// This PE's bit in a `u64` PE mask (bit `i` names PE `i`, so a mask
+    /// names at most 64 PEs).
+    #[inline]
+    pub fn bit(self) -> u64 {
+        1 << self.0
+    }
+}
+
+/// The PEs named by a `u64` PE mask, in ascending id order.
+///
+/// ```
+/// use pim_trace::{pes_in, PeId};
+/// let mask = PeId(5).bit() | PeId(1).bit();
+/// assert_eq!(pes_in(mask).collect::<Vec<_>>(), [PeId(1), PeId(5)]);
+/// ```
+#[inline]
+pub fn pes_in(mut mask: u64) -> impl Iterator<Item = PeId> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let pe = PeId(mask.trailing_zeros());
+            mask &= mask - 1;
+            pe
+        })
+    })
+}
+
+/// A set of PEs held as a `u64` mask: bit `i` is PE `i`, so a set names
+/// at most 64 PEs. It iterates in ascending id order.
+///
+/// ```
+/// use pim_trace::{PeId, PeSet};
+/// let mut set = PeSet::default();
+/// set.insert(PeId(5));
+/// set.insert(PeId(1));
+/// assert_eq!(set.iter().collect::<Vec<_>>(), [PeId(1), PeId(5)]);
+/// assert_eq!(set, vec![PeId(1), PeId(5)]);
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct PeSet(u64);
+
+impl PeSet {
+    /// Adds `pe`.
+    #[inline]
+    pub fn insert(&mut self, pe: PeId) {
+        self.0 |= pe.bit();
+    }
+
+    /// Number of members.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set has no members.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The members in ascending id order.
+    #[inline]
+    pub fn iter(self) -> impl Iterator<Item = PeId> {
+        pes_in(self.0)
+    }
+}
+
+/// A set equals a list that names exactly its members in ascending order.
+impl PartialEq<Vec<PeId>> for PeSet {
+    fn eq(&self, list: &Vec<PeId>) -> bool {
+        self.iter().eq(list.iter().copied())
+    }
+}
+
+impl fmt::Debug for PeSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -41,6 +120,7 @@ pub struct Access {
 
 impl Access {
     /// Creates an access record.
+    #[inline]
     pub fn new(pe: PeId, op: MemOp, addr: Addr, area: StorageArea) -> Access {
         Access { pe, op, addr, area }
     }

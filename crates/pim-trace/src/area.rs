@@ -45,6 +45,7 @@ impl StorageArea {
     }
 
     /// Index into dense per-area arrays.
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             StorageArea::Instruction => 0,
@@ -124,6 +125,7 @@ impl AreaMap {
     }
 
     /// The first address of `area`.
+    #[inline]
     pub fn base(&self, area: StorageArea) -> Addr {
         self.bases[area.index()]
     }
@@ -154,21 +156,20 @@ impl AreaMap {
     ///
     /// Panics if `addr` lies outside every area — that is always a bug in
     /// the abstract machine, not a recoverable condition.
+    #[inline]
     pub fn area(&self, addr: Addr) -> StorageArea {
         assert!(
             addr < self.end,
             "address {addr:#x} outside the mapped space"
         );
-        // Linear scan over five segments beats binary search at this size.
-        let mut found = StorageArea::Instruction;
-        for area in StorageArea::ALL {
-            if addr >= self.base(area) {
-                found = area;
-            } else {
-                break;
-            }
-        }
-        found
+        // The first segment starts at 0 and the bases ascend, so the area
+        // index is the number of later bases at or below `addr` — four
+        // compares and no branch.
+        let index = self.bases[1..]
+            .iter()
+            .map(|&base| usize::from(addr >= base))
+            .sum::<usize>();
+        StorageArea::ALL[index]
     }
 
     /// Checked variant of [`AreaMap::area`].

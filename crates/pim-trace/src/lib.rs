@@ -37,7 +37,7 @@ pub mod sink;
 pub mod stats;
 pub mod textio;
 
-pub use access::{Access, PeId};
+pub use access::{pes_in, Access, PeId, PeSet};
 pub use area::{AreaMap, StorageArea};
 pub use op::{MemOp, OpClass};
 pub use port::{MemoryPort, PortValue};

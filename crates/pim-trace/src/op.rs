@@ -60,6 +60,13 @@ impl MemOp {
         MemOp::Unlock,
     ];
 
+    /// This operation's position in [`MemOp::ALL`], which lists the
+    /// variants in declaration order: the index is the discriminant.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Returns `true` if the operation delivers data to the processor.
     ///
     /// `LR` both locks and reads; `U` moves no data at all.
@@ -103,6 +110,7 @@ impl MemOp {
     /// The unoptimized operation this command degenerates to when its
     /// special-case conditions do not hold (or when optimizations are
     /// disabled for an experiment): `DW`→`W`, `ER`/`RP`/`RI`→`R`.
+    #[inline]
     pub fn downgraded(self) -> MemOp {
         match self {
             MemOp::DirectWrite | MemOp::DirectWriteDown => MemOp::Write,
@@ -198,6 +206,13 @@ mod tests {
             // Downgrading preserves read/write direction.
             assert_eq!(op.is_read(), d.is_read(), "{op}");
             assert_eq!(op.is_write(), d.is_write(), "{op}");
+        }
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, op) in MemOp::ALL.into_iter().enumerate() {
+            assert_eq!(op.index(), i, "{op}");
         }
     }
 

@@ -13,7 +13,7 @@
 //! offered and [`TraceBuffer::dropped`] is always `emitted - recorded`.
 
 use pim_obs::{CohState, Observer};
-use pim_trace::{Addr, MemOp, PeId, StorageArea};
+use pim_trace::{Addr, MemOp, PeId, PeSet, StorageArea};
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -548,14 +548,7 @@ impl Observer for SharedTracer {
         self.push(cycle, pe, EventKind::LockAcquired { addr, area });
     }
 
-    fn lock_released(
-        &mut self,
-        pe: PeId,
-        addr: Addr,
-        area: StorageArea,
-        cycle: u64,
-        woken: &[PeId],
-    ) {
+    fn lock_released(&mut self, pe: PeId, addr: Addr, area: StorageArea, cycle: u64, woken: PeSet) {
         self.push(
             cycle,
             pe,

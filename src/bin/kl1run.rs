@@ -81,6 +81,12 @@ use pim_sim::{Engine, IllinoisSystem, MemorySystem};
 use pim_trace::{PeId, StorageArea};
 use pim_tracer::SharedTracer;
 
+// With `--features perf-alloc`, count allocations so `--perf` breakdowns
+// carry per-phase allocation columns (`"alloc_counting": true`).
+#[cfg(feature = "perf-alloc")]
+#[global_allocator]
+static ALLOC: pim_perf::CountingAlloc = pim_perf::CountingAlloc;
+
 struct Options {
     pes: u32,
     flat: bool,

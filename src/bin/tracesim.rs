@@ -98,6 +98,12 @@ use pim_sim::{Engine, IllinoisSystem, MemorySystem, ParallelEngine, Replayer, Ru
 use pim_trace::{Access, StorageArea};
 use pim_tracer::SharedTracer;
 
+// With `--features perf-alloc`, count allocations so `--perf` breakdowns
+// carry per-phase allocation columns (`"alloc_counting": true`).
+#[cfg(feature = "perf-alloc")]
+#[global_allocator]
+static ALLOC: pim_perf::CountingAlloc = pim_perf::CountingAlloc;
+
 fn usage() -> ! {
     eprintln!(
         "usage: tracesim [--pes N] [--threads N] [--illinois] [--no-opt] \
