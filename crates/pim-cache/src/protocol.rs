@@ -866,6 +866,13 @@ impl PimSystem {
     ///
     /// Panics if `pe` is out of range, `addr` is outside the area map, or
     /// `data` is `None` for a write operation.
+    ///
+    /// This is the per-reference dispatcher, inlined into the driving
+    /// engine: the area lookup, the opt-mask downgrade, the hit arms of
+    /// `R`/`W`/`DW`/`DWD`/`ER`/`RI` and the reference count compile into
+    /// the caller, so a hit's [`Outcome`] stays in registers. Every miss,
+    /// upgrade, allocate, purge, lock and error arm is out of line.
+    #[inline]
     pub fn access(
         &mut self,
         pe: PeId,
@@ -1325,6 +1332,7 @@ impl PimSystem {
     /// `DW` (Section 3.2 (1)): on a block-boundary miss with no remote
     /// copies, allocate without fetching; otherwise behave as `W`.
     /// Optimizes *upward*-growing allocation (heap, records).
+    #[inline(always)]
     fn direct_write(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
         let line = self.lookup(pe, addr);
         if line.is_some() || !self.config.geometry.is_block_boundary(addr) {
@@ -1338,6 +1346,7 @@ impl PimSystem {
     /// depending on the block-boundary definition `DW` serves one stack
     /// direction only, and "to optimize both, two commands are necessary".
     /// A downward stack touches the *last* word of each new block first.
+    #[inline(always)]
     fn direct_write_down(
         &mut self,
         pe: PeId,
@@ -1354,6 +1363,7 @@ impl PimSystem {
 
     /// The shared allocate-without-fetch path of `DW`/`DWD`, for a block
     /// not resident in `pe`'s cache.
+    #[inline(never)]
     fn direct_allocate(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
         let geom = self.config.geometry;
         if self.held_remotely(pe, addr) {
@@ -1395,27 +1405,25 @@ impl PimSystem {
     /// `ER` (Section 3.2 (2)): read-invalidate on a remote miss that is
     /// not the last word; read-purge on a hit to the last word; plain read
     /// otherwise.
+    #[inline(always)]
     fn exclusive_read(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
-        let geom = self.config.geometry;
-        let line = self.lookup(pe, addr);
-        if let Some(line) = line {
-            if geom.is_last_word(addr) {
-                // Case (ii): read, then forcibly purge the local block —
-                // dead data is discarded without a swap-out.
-                return self.read_and_purge(pe, addr, line);
-            }
-            return self.read_at(pe, addr, area, Some(line));
+        let Some(line) = self.lookup(pe, addr) else {
+            return self.exclusive_read_miss(pe, addr, area);
+        };
+        if self.config.geometry.is_last_word(addr) {
+            // Case (ii): read, then forcibly purge the local block —
+            // dead data is discarded without a swap-out.
+            return self.read_and_purge(pe, addr, line);
         }
-        if self.find_supplier(pe, addr).is_some() && !geom.is_last_word(addr) {
+        self.read_at(pe, addr, area, Some(line))
+    }
+
+    /// The miss half of `ER`.
+    #[inline(never)]
+    fn exclusive_read_miss(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
+        if self.find_supplier(pe, addr).is_some() && !self.config.geometry.is_last_word(addr) {
             // Case (i): fetch with invalidation of the supplier (RI).
-            self.access_stats.lookups += 1;
-            return match self.fill(pe, addr, true, true, false, area) {
-                FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
-                FillOutcome::Filled(f) => {
-                    let value = self.read_resident(pe, addr);
-                    done(value, f.cycles, false)
-                }
-            };
+            return self.read_invalidate_miss(pe, addr, area);
         }
         // Case (iii): automatic downgrade to R.
         self.read_at(pe, addr, area, None)
@@ -1424,6 +1432,7 @@ impl PimSystem {
     /// `RP` (Section 3.2 (3)): read and forcibly purge; on a miss the
     /// supplier is invalidated and the transferred block bypasses the
     /// local cache entirely (it would be purged immediately anyway).
+    #[inline(never)]
     fn read_purge(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
         if let Some(line) = self.lookup(pe, addr) {
             return self.read_and_purge(pe, addr, line);
@@ -1443,7 +1452,9 @@ impl PimSystem {
     }
 
     /// The bus-free purging hit of `ER` and `RP`: read `addr` from `pe`'s
-    /// resident `line`, then drop the line without a swap-out.
+    /// resident `line`, then drop the line without a swap-out. Out of
+    /// line: the purge updates the snoop index.
+    #[inline(never)]
     fn read_and_purge(&mut self, pe: PeId, addr: Addr, line: Line) -> Outcome {
         self.access_stats.lookups += 1;
         self.access_stats.hits += 1;
@@ -1458,11 +1469,19 @@ impl PimSystem {
 
     /// `RI` (Section 3.2 (4)): read with intent to rewrite — a miss
     /// fetches exclusively (`FI`) so the later write needs no `I`.
+    #[inline(always)]
     fn read_invalidate(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
         let line = self.lookup(pe, addr);
         if line.is_some() {
             return self.read_at(pe, addr, area, line);
         }
+        self.read_invalidate_miss(pe, addr, area)
+    }
+
+    /// The exclusive fill (`FI`) of an `RI` miss, and of an `ER` miss
+    /// with a remote supplier.
+    #[inline(never)]
+    fn read_invalidate_miss(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
         self.access_stats.lookups += 1;
         match self.fill(pe, addr, true, true, false, area) {
             FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
@@ -1480,6 +1499,7 @@ impl PimSystem {
     /// `LR`: lock a word and read it. Free when the block is already held
     /// exclusively; otherwise `LK` rides on the `I`/`FI` that acquires
     /// exclusivity.
+    #[inline(never)]
     fn lock_read(
         &mut self,
         pe: PeId,
@@ -1543,6 +1563,7 @@ impl PimSystem {
     /// `UW`: write the locked word, then unlock it. The write is always
     /// exclusive (the lock directory kept other PEs away), except after a
     /// self-eviction, which refetches from memory.
+    #[inline(never)]
     fn write_unlock(
         &mut self,
         pe: PeId,
@@ -1573,6 +1594,7 @@ impl PimSystem {
     }
 
     /// `U`: unlock without writing.
+    #[inline(never)]
     fn unlock(
         &mut self,
         pe: PeId,
@@ -1754,6 +1776,16 @@ fn done(value: Word, bus_cycles: u64, hit: bool) -> Outcome {
     }
 }
 
+#[inline]
 fn expect_data(op: MemOp, data: Option<Word>) -> Word {
-    data.unwrap_or_else(|| panic!("{op} requires a data word"))
+    match data {
+        Some(value) => value,
+        None => missing_data(op),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn missing_data(op: MemOp) -> ! {
+    panic!("{op} requires a data word")
 }

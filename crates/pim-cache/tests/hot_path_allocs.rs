@@ -10,7 +10,10 @@
 //! * 16-PE `Engine::run` replays of the same heap stream and of a
 //!   contended lock-churn stream make no allocation per step either: not
 //!   in the scheduler's pick, not for `LH` refusals (waiters are a PE
-//!   mask), not for wake-ups.
+//!   mask), not for wake-ups;
+//! * splitting a merged trace into per-PE replay streams allocates the
+//!   same number of times for 1 K accesses as for 400 K: each stream is
+//!   sized once.
 
 use pim_bus::BusTiming;
 use pim_cache::{CacheGeometry, OptMask, PimSystem, SystemConfig};
@@ -144,4 +147,22 @@ fn heap_mix_replay_through_the_engine_makes_no_allocation_after_warm_up() {
         "the stream must stay miss-heavy"
     );
     assert_eq!(allocs, 0, "{allocs} allocations over {steps} steps");
+}
+
+#[test]
+fn replay_set_up_allocations_do_not_grow_with_stream_length() {
+    let set_up_allocs = |accesses: u64| {
+        let stream = workloads::synthetic::shared_heap_mix(PES, accesses, 30, 1 << 14, 11);
+        let before = pim_perf::thread_allocs();
+        let replayer = Replayer::from_merged(&stream, PES);
+        let allocs = pim_perf::thread_allocs() - before;
+        assert_eq!(replayer.remaining() as u64, accesses);
+        allocs
+    };
+    let short = set_up_allocs(1_000);
+    let long = set_up_allocs(400_000);
+    assert_eq!(
+        short, long,
+        "from_merged made {short} allocations for 1 K accesses, {long} for 400 K"
+    );
 }

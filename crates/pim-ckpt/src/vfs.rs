@@ -296,7 +296,11 @@ impl IoChaosConfig {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// The canonical 64-bit finalizer (splitmix64). Full avalanche: every
+/// input bit affects every output bit. The one mixer behind every seeded
+/// plan in the workspace: this module's io-chaos plan and `pim-fault`'s
+/// bus-fault and worker-chaos plans.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

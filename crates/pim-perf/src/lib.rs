@@ -11,8 +11,9 @@
 //!
 //! * **Scoped phase spans** — [`span`] returns an RAII guard that, while
 //!   the global profiler is enabled, attributes the enclosed wall time
-//!   to a named phase (`trace parse`, `engine run`, `epoch barrier`,
-//!   `coordinator replay`, `gc`, `report write`, …). Spans nest; the
+//!   to a named phase (`trace parse`, `compile`, `engine run`,
+//!   `emulator run`, `epoch barrier`, `coordinator replay`, `gc`,
+//!   `report write`, …). Spans nest; the
 //!   aggregate tracks both *total* time (guard lifetime) and *self*
 //!   time (total minus enclosed child spans), so a breakdown never
 //!   double-counts a nested phase. Balance is structural: the guard
@@ -52,8 +53,13 @@ pub use alloc::CountingAlloc;
 /// The canonical phase names used across the workspace, so breakdowns
 /// from different binaries line up.
 pub mod phase {
-    /// Reading or generating the input trace / compiling the program.
+    /// Reading or generating the input trace.
     pub const TRACE_PARSE: &str = "trace parse";
+    /// Parsing and compiling an FGHC program.
+    pub const COMPILE: &str = "compile";
+    /// The KL1 emulator running on flat memory, with no engine
+    /// (`kl1run --flat`).
+    pub const EMULATOR_RUN: &str = "emulator run";
     /// The simulation engine's main loop (either engine).
     pub const ENGINE_RUN: &str = "engine run";
     /// Parallel engine: fan-out/drain of a speculation epoch — the time

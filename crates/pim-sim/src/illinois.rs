@@ -115,6 +115,7 @@ impl IllinoisSystem {
         }
     }
 
+    #[inline]
     fn cache_write(&mut self, pe: PeId, addr: Addr, value: Word, state: BlockState) -> bool {
         if self.observer.is_none() {
             return self.caches[pe.index()].write(addr, value, state);
@@ -307,12 +308,19 @@ impl IllinoisSystem {
             .cycles(Transaction::Invalidate, geom.block_words))
     }
 
+    #[inline(always)]
     fn read(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
         self.access_stats.lookups += 1;
         if let Some(value) = self.caches[pe.index()].read(addr) {
             self.access_stats.hits += 1;
             return done(value, 0, true);
         }
+        self.read_miss(pe, addr, area)
+    }
+
+    /// The fill half of `R`, kept out of line so the hit path stays small.
+    #[inline(never)]
+    fn read_miss(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
         match self.fill(pe, addr, false, area) {
             Err(holder) => Outcome::LockBusy { holder },
             Ok(cycles) => {
@@ -324,14 +332,30 @@ impl IllinoisSystem {
         }
     }
 
+    #[inline(always)]
     fn write(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
         self.access_stats.lookups += 1;
-        match self.caches[pe.index()].state_of(addr) {
-            BlockState::Em | BlockState::Ec => {
-                self.access_stats.hits += 1;
-                self.cache_write(pe, addr, value, BlockState::Em);
-                done(value, 0, true)
-            }
+        let state = self.caches[pe.index()].state_of(addr);
+        if state.is_exclusive() {
+            self.access_stats.hits += 1;
+            self.cache_write(pe, addr, value, BlockState::Em);
+            return done(value, 0, true);
+        }
+        self.write_miss(pe, addr, value, area, state)
+    }
+
+    /// `W` on a shared or absent block: upgrade or fill exclusively, then
+    /// write. Out of line so the hit path stays small.
+    #[inline(never)]
+    fn write_miss(
+        &mut self,
+        pe: PeId,
+        addr: Addr,
+        value: Word,
+        area: StorageArea,
+        state: BlockState,
+    ) -> Outcome {
+        match state {
             BlockState::Shared => {
                 self.access_stats.hits += 1;
                 match self.upgrade(pe, addr, area) {
@@ -342,7 +366,6 @@ impl IllinoisSystem {
                     }
                 }
             }
-            BlockState::Sm => unreachable!("Illinois never creates SM"),
             BlockState::Inv => match self.fill(pe, addr, true, area) {
                 Err(holder) => Outcome::LockBusy { holder },
                 Ok(cycles) => {
@@ -350,11 +373,14 @@ impl IllinoisSystem {
                     done(value, cycles, false)
                 }
             },
+            BlockState::Sm => unreachable!("Illinois never creates SM"),
+            BlockState::Em | BlockState::Ec => unreachable!("exclusive writes hit"),
         }
     }
 
     /// A conventional bus-locked read: always one bus command, even on an
     /// exclusive hit.
+    #[inline(never)]
     fn lock_read(
         &mut self,
         pe: PeId,
@@ -412,6 +438,54 @@ impl IllinoisSystem {
         Ok(done(value, fetch_cycles + lock_cycles, hit))
     }
 
+    /// `UW`: write the locked word, then release it with a broadcast.
+    #[inline(never)]
+    fn write_unlock(
+        &mut self,
+        pe: PeId,
+        addr: Addr,
+        value: Word,
+        area: StorageArea,
+    ) -> Result<Outcome, ProtocolError> {
+        if !self.lockdirs[pe.index()].holds(addr) {
+            return Err(ProtocolError::NotLocked { addr });
+        }
+        let (mut cycles, hit) = match self.write(pe, addr, value, area) {
+            Outcome::Done {
+                bus_cycles, hit, ..
+            } => (bus_cycles, hit),
+            Outcome::LockBusy { .. } => unreachable!("held lock keeps others away"),
+        };
+        let (ul, woken) = self.release(pe, addr, area)?;
+        cycles += ul;
+        Ok(Outcome::Done {
+            value,
+            bus_cycles: cycles,
+            hit,
+            woken,
+        })
+    }
+
+    /// `U`: release without writing.
+    #[inline(never)]
+    fn unlock(
+        &mut self,
+        pe: PeId,
+        addr: Addr,
+        area: StorageArea,
+    ) -> Result<Outcome, ProtocolError> {
+        if !self.lockdirs[pe.index()].holds(addr) {
+            return Err(ProtocolError::NotLocked { addr });
+        }
+        let (cycles, woken) = self.release(pe, addr, area)?;
+        Ok(Outcome::Done {
+            value: 0,
+            bus_cycles: cycles,
+            hit: true,
+            woken,
+        })
+    }
+
     fn release(
         &mut self,
         pe: PeId,
@@ -437,6 +511,10 @@ impl IllinoisSystem {
 }
 
 impl MemorySystem for IllinoisSystem {
+    /// The per-reference dispatcher, inlined into the driving engine like
+    /// `PimSystem::access`: the read and exclusive-write hits stay in the
+    /// caller, every miss, upgrade, lock and error arm is out of line.
+    #[inline]
     fn access(
         &mut self,
         pe: PeId,
@@ -447,54 +525,13 @@ impl MemorySystem for IllinoisSystem {
         assert!(pe.index() < self.caches.len(), "unknown {pe}");
         let area = self.config.area_map.area(addr);
         // Illinois has none of the optimized commands.
-        let eff = match op.downgraded() {
-            MemOp::LockRead | MemOp::WriteUnlock | MemOp::Unlock => op,
-            plain => plain,
-        };
+        let eff = op.downgraded();
         let outcome = match eff {
             MemOp::Read => self.read(pe, addr, area),
-            MemOp::Write => {
-                let Some(value) = data else {
-                    unreachable!("write operations always carry a data word")
-                };
-                self.write(pe, addr, value, area)
-            }
+            MemOp::Write => self.write(pe, addr, write_data(data), area),
             MemOp::LockRead => self.lock_read(pe, addr, area)?,
-            MemOp::WriteUnlock => {
-                if !self.lockdirs[pe.index()].holds(addr) {
-                    return Err(ProtocolError::NotLocked { addr });
-                }
-                let Some(value) = data else {
-                    unreachable!("write operations always carry a data word")
-                };
-                let w = self.write(pe, addr, value, area);
-                let (mut cycles, hit) = match w {
-                    Outcome::Done {
-                        bus_cycles, hit, ..
-                    } => (bus_cycles, hit),
-                    Outcome::LockBusy { .. } => unreachable!("held lock keeps others away"),
-                };
-                let (ul, woken) = self.release(pe, addr, area)?;
-                cycles += ul;
-                Outcome::Done {
-                    value,
-                    bus_cycles: cycles,
-                    hit,
-                    woken,
-                }
-            }
-            MemOp::Unlock => {
-                if !self.lockdirs[pe.index()].holds(addr) {
-                    return Err(ProtocolError::NotLocked { addr });
-                }
-                let (cycles, woken) = self.release(pe, addr, area)?;
-                Outcome::Done {
-                    value: 0,
-                    bus_cycles: cycles,
-                    hit: true,
-                    woken,
-                }
-            }
+            MemOp::WriteUnlock => self.write_unlock(pe, addr, write_data(data), area)?,
+            MemOp::Unlock => self.unlock(pe, addr, area)?,
             other => unreachable!("downgrade left {other}"),
         };
         if matches!(outcome, Outcome::Done { .. }) {
@@ -625,6 +662,16 @@ impl MemorySystem for IllinoisSystem {
     }
 }
 
+/// The data word of a `W`/`UW`, which the engine always supplies.
+#[inline]
+fn write_data(data: Option<Word>) -> Word {
+    let Some(value) = data else {
+        unreachable!("write operations always carry a data word")
+    };
+    value
+}
+
+#[inline]
 fn done(value: Word, bus_cycles: u64, hit: bool) -> Outcome {
     Outcome::Done {
         value,

@@ -5,6 +5,39 @@ use crate::parallel::{ProcessShard, ShardableProcess};
 use crate::{Process, StepOutcome};
 use pim_trace::{Access, Addr, MemOp, MemoryPort, PeId, PortValue, Word};
 
+/// One replayed reference: 9 bytes, where an [`Access`] takes 16. The
+/// issuing PE is the stream's own index and the storage area is
+/// recomputed from the address by the memory system, so neither is
+/// stored. Packed, so a stream of a few million references stays a few
+/// tens of megabytes; fields are read by value only (a reference to a
+/// packed field would be unaligned).
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed)]
+struct Ref {
+    addr: Addr,
+    op: MemOp,
+}
+
+const _: () = assert!(std::mem::size_of::<Ref>() == 9);
+
+impl From<Access> for Ref {
+    #[inline]
+    fn from(a: Access) -> Ref {
+        Ref {
+            addr: a.addr,
+            op: a.op,
+        }
+    }
+}
+
+/// The write payload replayed at `cursor` of PE `pe`'s stream:
+/// deterministic and position-derived, so replays (and rewound parallel
+/// shards) are functionally self-consistent.
+#[inline]
+fn payload(pe: usize, cursor: usize, op: MemOp) -> Option<Word> {
+    op.is_write().then_some((pe as Word) << 32 | cursor as Word)
+}
+
 /// A [`Process`] that replays per-PE access streams in order.
 ///
 /// Useful for cache-only experiments (no abstract machine) and for
@@ -13,7 +46,7 @@ use pim_trace::{Access, Addr, MemOp, MemoryPort, PeId, PortValue, Word};
 /// are functionally self-consistent.
 #[derive(Debug, Clone)]
 pub struct Replayer {
-    streams: Vec<Vec<Access>>,
+    streams: Vec<Vec<Ref>>,
     cursors: Vec<usize>,
     /// Accesses not yet replayed, kept in step with `cursors` so an idle
     /// PE's poll need not sum every stream.
@@ -21,8 +54,18 @@ pub struct Replayer {
 }
 
 impl Replayer {
-    /// Builds a replayer from one access stream per PE.
+    /// Builds a replayer from one access stream per PE. Stream `i` is
+    /// replayed as PE `i`'s; the accesses' own `pe` and `area` fields
+    /// are not consulted.
     pub fn new(streams: Vec<Vec<Access>>) -> Replayer {
+        let streams = streams
+            .into_iter()
+            .map(|s| s.into_iter().map(Ref::from).collect())
+            .collect();
+        Replayer::from_streams(streams)
+    }
+
+    fn from_streams(streams: Vec<Vec<Ref>>) -> Replayer {
         let cursors = vec![0; streams.len()];
         let left = streams.iter().map(Vec::len).sum();
         Replayer {
@@ -33,18 +76,22 @@ impl Replayer {
     }
 
     /// Splits a merged trace by issuing PE. `pes` fixes the PE count (PEs
-    /// with no accesses get empty streams).
+    /// with no accesses get empty streams). Each stream is sized exactly
+    /// before it is filled, so set-up allocates once per PE whatever the
+    /// trace length.
     pub fn from_merged(trace: &[Access], pes: u32) -> Replayer {
-        let mut streams = vec![Vec::new(); pes as usize];
-        for &a in trace {
-            assert!(
-                a.pe.index() < streams.len(),
-                "trace references {} beyond {pes} PEs",
-                a.pe
-            );
-            streams[a.pe.index()].push(a);
+        let mut lens = vec![0usize; pes as usize];
+        for a in trace {
+            let Some(len) = lens.get_mut(a.pe.index()) else {
+                panic!("trace references {} beyond {pes} PEs", a.pe);
+            };
+            *len += 1;
         }
-        Replayer::new(streams)
+        let mut streams: Vec<Vec<Ref>> = lens.into_iter().map(Vec::with_capacity).collect();
+        for &a in trace {
+            streams[a.pe.index()].push(Ref::from(a));
+        }
+        Replayer::from_streams(streams)
     }
 
     /// Checkpoint hook: serializes the replay cursors. The streams
@@ -135,22 +182,14 @@ impl Process for Replayer {
                     StepOutcome::Idle
                 }
             }
-            Some(&access) => {
-                let data = if access.op.is_write() {
-                    // Deterministic, position-derived payload.
-                    Some((i as Word) << 32 | cursor as Word)
-                } else {
-                    None
-                };
-                match port.op(access.op, access.addr, data) {
-                    PortValue::Stall => StepOutcome::Stalled,
-                    PortValue::Value(_) => {
-                        self.cursors[i] = cursor + 1;
-                        self.left -= 1;
-                        StepOutcome::Ran
-                    }
+            Some(&r) => match port.op(r.op, r.addr, payload(i, cursor, r.op)) {
+                PortValue::Stall => StepOutcome::Stalled,
+                PortValue::Value(_) => {
+                    self.cursors[i] = cursor + 1;
+                    self.left -= 1;
+                    StepOutcome::Ran
                 }
-            }
+            },
         }
     }
 }
@@ -161,21 +200,15 @@ impl Process for Replayer {
 #[derive(Debug)]
 pub struct ReplayShard {
     pe: usize,
-    stream: Vec<Access>,
+    stream: Vec<Ref>,
     cursor: usize,
 }
 
 impl ProcessShard for ReplayShard {
     fn peek(&self) -> Option<(MemOp, Addr, Option<Word>)> {
-        self.stream.get(self.cursor).map(|a| {
-            let data = if a.op.is_write() {
-                // Same deterministic position-derived payload as `step`.
-                Some((self.pe as Word) << 32 | self.cursor as Word)
-            } else {
-                None
-            };
-            (a.op, a.addr, data)
-        })
+        self.stream
+            .get(self.cursor)
+            .map(|&r| (r.op, r.addr, payload(self.pe, self.cursor, r.op)))
     }
 
     fn advance(&mut self) {

@@ -296,7 +296,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let parse_span = pim_perf::span(pim_perf::phase::TRACE_PARSE);
+    let compile_span = pim_perf::span(pim_perf::phase::COMPILE);
     let program = match fghc::compile_with(
         &source,
         fghc::CompileOptions {
@@ -309,7 +309,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    drop(parse_span);
+    drop(compile_span);
     if opts.code {
         print!("{program}");
         return;
@@ -789,7 +789,10 @@ fn main() {
         t.cell_running(&cell_key);
     }
     let makespan = if opts.flat {
-        let port = kl1_machine::run_flat(&mut cluster, MAX_STEPS);
+        let port = {
+            let _perf = pim_perf::span(pim_perf::phase::EMULATOR_RUN);
+            kl1_machine::run_flat(&mut cluster, MAX_STEPS)
+        };
         let result = if arity1 {
             cluster.extract(&port, "X")
         } else {

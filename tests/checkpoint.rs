@@ -404,3 +404,41 @@ fn failed_flag_validation_leaves_existing_outputs_untouched() {
     assert_eq!(read(&trace), "sentinel-trace");
     assert_eq!(read(&report), "sentinel-report");
 }
+
+#[test]
+fn a_checkpoint_written_by_an_earlier_build_still_resumes() {
+    // `tests/data/producer-consumer-pe2.ck` was written by tracesim at
+    // commit 621dac9, before the replay streams were packed, with
+    //   tracesim --gen producer-consumer --pes 2 --report r.json \
+    //            --checkpoint producer-consumer-pe2.ck:every=2000
+    // The checkpoint format did not change, so today's tracesim must
+    // resume it to the report of an uninterrupted run.
+    let dir = tmpdir("earlier_build");
+    let ck = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/producer-consumer-pe2.ck");
+    let full = dir.join("full.json");
+    let resumed = dir.join("resumed.json");
+    let out = tracesim()
+        .args(["--gen", "producer-consumer", "--pes", "2"])
+        .args(["--report", full.to_str().unwrap()])
+        .output()
+        .expect("tracesim runs");
+    assert_ok(&out);
+    let out = tracesim()
+        .args(["--gen", "producer-consumer", "--pes", "2"])
+        .args(["--resume", ck.to_str().unwrap()])
+        .args(["--report", resumed.to_str().unwrap()])
+        .output()
+        .expect("tracesim runs");
+    assert_ok(&out);
+    let resumed = read(&resumed);
+    assert!(
+        resumed.contains("\"resumed_from_cycle\": "),
+        "the run must say it resumed:\n{resumed}"
+    );
+    assert!(
+        !resumed.contains("\"resumed_from_cycle\": null"),
+        "{resumed}"
+    );
+    let diff = pim_tracer::report_diff(&read(&full), &resumed, 10);
+    assert_eq!(diff.differences, 0, "{}", diff.text);
+}

@@ -688,6 +688,65 @@ fn kl1run_perf_adds_host_perf_to_the_profile() {
     assert!(stderr.contains("engine run"), "{stderr}");
 }
 
+/// A `fmt_ns` figure from a `[perf]` line (`1.234 ms`, `56 ns`) in
+/// nanoseconds.
+fn parse_ns(value: &str, unit: &str) -> f64 {
+    let v: f64 = value.parse().unwrap_or_else(|_| panic!("bad time {value}"));
+    match unit {
+        "s" => v * 1e9,
+        "ms" => v * 1e6,
+        "µs" => v * 1e3,
+        "ns" => v,
+        other => panic!("unknown time unit {other}"),
+    }
+}
+
+#[test]
+fn kl1run_flat_perf_books_its_wall_time_to_named_phases() {
+    let dir = std::env::temp_dir().join("kl1run_cli_flat_perf");
+    std::fs::create_dir_all(&dir).unwrap();
+    let program = dir.join("tri.fghc");
+    let source = format!(
+        "{}\ngo(N) :- true | main(4, N).\n",
+        workloads::Bench::Tri.source()
+    );
+    std::fs::write(&program, source).unwrap();
+    let out = kl1run()
+        .args(["--flat", "--perf"])
+        .arg(&program)
+        .arg("go")
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let mut wall = None;
+    let mut booked = 0.0;
+    let mut names = Vec::new();
+    for line in stderr.lines().filter_map(|l| l.strip_prefix("[perf] ")) {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        if fields[0] == "wall" {
+            wall = Some(parse_ns(fields[1], fields[2]));
+        } else if fields[0] != "phase" {
+            // name (one or more words), count, total, unit, self, unit
+            // and, with the counting allocator, two allocation columns.
+            let c = fields
+                .iter()
+                .position(|f| f.parse::<u64>().is_ok())
+                .expect("a count column");
+            booked += parse_ns(fields[c + 3], fields[c + 4]);
+            names.push(fields[..c].join(" "));
+        }
+    }
+    let wall = wall.expect("a [perf] wall line");
+    assert!(names.contains(&"compile".to_owned()), "{stderr}");
+    assert!(names.contains(&"emulator run".to_owned()), "{stderr}");
+    assert!(!names.contains(&"trace parse".to_owned()), "{stderr}");
+    assert!(
+        booked >= 0.95 * wall,
+        "named phases book {booked:.0} of {wall:.0} ns\n{stderr}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Hostile FILE[:key=value] spec inputs: every malformed checkpoint /
 // trace / status spec must exit 2 with the flag and the offending
