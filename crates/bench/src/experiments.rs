@@ -1172,28 +1172,17 @@ pub struct FaultRow {
 
 /// Sweeps deterministic fault rates over the lock-churn workload — the
 /// trace with the most bus arbitration per access, hence the worst case
-/// for NACK/stall recovery. Every rate replays sequentially and at 2
-/// and 8 worker threads and must produce byte-identical system
-/// statistics: the fault schedule is a pure function of
-/// `(seed, cycle, pe, attempt)`, never of the host's thread count.
+/// for NACK/stall recovery. The fault schedule is a pure function of
+/// `(seed, cycle, pe, attempt)`, and every injected fault must be
+/// recovered.
 pub fn faults(scale: Scale, seed: u64) -> Vec<FaultRow> {
     use pim_cache::PimSystem;
     use pim_fault::{FaultConfig, FaultPlan};
-    use pim_sim::{Engine, ParallelEngine, Replayer};
+    use pim_sim::{Engine, Replayer};
 
     let pes = 8;
     let pairs = if scale == Scale::smoke() { 500 } else { 5_000 };
     let trace = workloads::synthetic::lock_churn(pes, pairs, 10, 7);
-
-    let fingerprint = |sys: &PimSystem| {
-        format!(
-            "{:?}|{:?}|{:?}|{:?}",
-            sys.ref_stats(),
-            sys.access_stats(),
-            sys.lock_stats(),
-            sys.bus_stats()
-        )
-    };
 
     let mut rows = Vec::new();
     let mut base_makespan = 0u64;
@@ -1208,32 +1197,6 @@ pub fn faults(scale: Scale, seed: u64) -> Vec<FaultRow> {
             .unwrap_or_else(|e| panic!("fault sweep replay failed at {rate_ppm} ppm: {e}"));
         assert!(stats.finished, "fault sweep replay did not finish");
         let fs = engine.fault_stats().clone();
-        let seq_fp = fingerprint(engine.system());
-
-        for threads in [2usize, 8] {
-            let mut replayer = Replayer::from_merged(&trace, pes);
-            let mut par =
-                ParallelEngine::new(PimSystem::new(base_config(pes, OptMask::all())), pes);
-            par.set_threads(threads);
-            par.set_fault_plan(FaultPlan::new(fc.clone()));
-            let pstats = par
-                .run(&mut replayer, u64::MAX)
-                .unwrap_or_else(|e| panic!("parallel fault sweep failed at {rate_ppm} ppm: {e}"));
-            assert_eq!(
-                pstats, stats,
-                "fault sweep diverged at {threads} threads, {rate_ppm} ppm"
-            );
-            assert_eq!(
-                fingerprint(par.system()),
-                seq_fp,
-                "system state diverged at {threads} threads, {rate_ppm} ppm"
-            );
-            assert_eq!(
-                par.fault_stats(),
-                &fs,
-                "fault schedule diverged at {threads} threads, {rate_ppm} ppm"
-            );
-        }
 
         assert_eq!(
             fs.injected, fs.recovered,

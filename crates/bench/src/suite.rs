@@ -17,7 +17,7 @@
 use crate::experiments::base_config;
 use pim_cache::{OptMask, PimSystem};
 use pim_obs::Json;
-use pim_sim::{Engine, ParallelEngine, Replayer};
+use pim_sim::{Engine, Replayer};
 use pim_trace::Access;
 use pim_tracer::JsonExt;
 use workloads::{synthetic, Bench, Scale};
@@ -144,22 +144,13 @@ fn measure(
 
 /// Replays `trace` on a fresh base-config PIM system and returns the
 /// simulated makespan (consumed so the work is not optimized away).
-fn replay(trace: &[Access], pes: u32, threads: usize) -> u64 {
+fn replay(trace: &[Access], pes: u32) -> u64 {
     let mut replayer = Replayer::from_merged(trace, pes);
     let system = PimSystem::new(base_config(pes, OptMask::all()));
-    if threads == 1 {
-        let mut engine = Engine::new(system, pes);
-        match engine.run(&mut replayer, u64::MAX) {
-            Ok(stats) => stats.makespan,
-            Err(e) => unreachable!("suite trace replay cannot fault: {e}"),
-        }
-    } else {
-        let mut engine = ParallelEngine::new(system, pes);
-        engine.set_threads(threads);
-        match engine.run(&mut replayer, u64::MAX) {
-            Ok(stats) => stats.makespan,
-            Err(e) => unreachable!("suite trace replay cannot fault: {e}"),
-        }
+    let mut engine = Engine::new(system, pes);
+    match engine.run(&mut replayer, u64::MAX) {
+        Ok(stats) => stats.makespan,
+        Err(e) => unreachable!("suite trace replay cannot fault: {e}"),
     }
 }
 
@@ -201,8 +192,6 @@ pub const BENCHMARKS: &[(&str, usize)] = &[
     ("micro/cache_hit", 1),
     ("micro/bus_arbitrate", 1),
     ("replay/heap-mix", 1),
-    ("replay/heap-mix", 2),
-    ("replay/heap-mix", 4),
     ("table1/tri", 1),
     ("table1/pascal", 1),
     ("table1/puzzle", 1),
@@ -230,7 +219,7 @@ pub fn run(mode: Mode, filter: &str, progress: &dyn Fn(&str)) -> Vec<Entry> {
             "accesses",
             &|| {
                 for _ in 0..iters {
-                    replay(&trace, 1, 1);
+                    replay(&trace, 1);
                 }
                 iters * trace.len() as u64
             },
@@ -251,30 +240,25 @@ pub fn run(mode: Mode, filter: &str, progress: &dyn Fn(&str)) -> Vec<Entry> {
             "accesses",
             &|| {
                 for _ in 0..iters {
-                    replay(&trace, 8, 1);
+                    replay(&trace, 8);
                 }
                 iters * trace.len() as u64
             },
         ));
     }
-    // The tracesim `--gen heap-mix` workload (same generator arguments)
-    // replayed at 1, 2, and 4 worker threads: the t1-vs-tN ratio is the
-    // parallel-engine scaling number the roadmap tracks.
-    let heap_mix = synthetic::shared_heap_mix(8, 10_000, 30, 1 << 14, 7);
-    for &threads in &[1usize, 2, 4] {
-        if !wanted("replay/heap-mix") {
-            break;
-        }
+    // The tracesim `--gen heap-mix` workload (same generator arguments).
+    if wanted("replay/heap-mix") {
         progress("replay/heap-mix");
+        let heap_mix = synthetic::shared_heap_mix(8, 10_000, 30, 1 << 14, 7);
         entries.push(measure(
             "replay/heap-mix",
             "macro",
-            threads,
+            1,
             1,
             mode,
             "accesses",
             &|| {
-                let _ = replay(&heap_mix, 8, threads);
+                let _ = replay(&heap_mix, 8);
                 heap_mix.len() as u64
             },
         ));
@@ -364,7 +348,7 @@ pub fn validate(doc: &Json) -> Result<usize, String> {
 /// One row of a [`diff`] comparison.
 #[derive(Debug, Clone)]
 pub struct DiffRow {
-    /// Benchmark name plus thread count, e.g. `replay/heap-mix @t2`.
+    /// Benchmark name plus thread count, e.g. `replay/heap-mix @t1`.
     pub key: String,
     /// Median wall ns in the old document (`None` if newly added).
     pub old_ns: Option<u64>,

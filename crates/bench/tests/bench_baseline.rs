@@ -18,11 +18,15 @@ fn load_baseline() -> Json {
 fn committed_baseline_is_a_valid_suite_document() {
     let doc = load_baseline();
     let entries = suite::validate(&doc).unwrap_or_else(|e| panic!("schema violation: {e}"));
-    assert!(entries >= 8, "expected >= 8 suite entries, got {entries}");
+    assert_eq!(
+        entries,
+        suite::BENCHMARKS.len(),
+        "the baseline must cover every suite entry once"
+    );
 }
 
 #[test]
-fn committed_baseline_covers_micro_macro_and_thread_scaling() {
+fn committed_baseline_covers_micro_macro_and_sequential_replay() {
     let doc = load_baseline();
     let Some(Json::Arr(entries)) = doc.get("entries") else {
         panic!("entries array vanished after validate");
@@ -40,8 +44,8 @@ fn committed_baseline_covers_micro_macro_and_thread_scaling() {
         .collect();
     assert_eq!(
         replay_threads,
-        vec![1, 2, 4],
-        "replay/heap-mix must cover threads 1/2/4"
+        vec![1],
+        "replay/heap-mix must run once, on the sequential engine (@t1)"
     );
 }
 

@@ -58,13 +58,15 @@ fn list_names_every_suite_benchmark() {
         "micro/cache_hit",
         "micro/bus_arbitrate",
         "replay/heap-mix @t1",
-        "replay/heap-mix @t2",
-        "replay/heap-mix @t4",
         "table1/tri",
         "ckpt/save_restore",
     ] {
         assert!(stdout.contains(name), "missing {name}: {stdout}");
     }
+    assert!(
+        !stdout.contains("@t2"),
+        "multi-thread replay entry listed: {stdout}"
+    );
 }
 
 #[test]

@@ -37,9 +37,7 @@ pub mod memory;
 pub mod stats;
 pub mod timing;
 
-pub use arbiter::{
-    arbitrate, arbitrate_queue, arbitrate_with_retries, grant_order, BusRequest, Grant, Nack,
-};
+pub use arbiter::{arbitrate, arbitrate_with_retries, Grant, Nack};
 pub use memory::SharedMemory;
 pub use stats::{BusCommand, BusStats};
 pub use timing::{BusTiming, Transaction};

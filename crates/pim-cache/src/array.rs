@@ -29,36 +29,6 @@ pub struct CacheArray {
     last_used: Vec<u64>,
     data: Vec<Word>,
     clock: u64,
-    /// When set, hit-path mutations append reversal records to `log` so a
-    /// speculative run can be rolled back (parallel-engine support). The
-    /// speculative paths never install or evict, so records only ever
-    /// reference existing lines.
-    speculative: bool,
-    log: Vec<UndoRec>,
-}
-
-/// Reversal record for one speculative hit-path mutation, applied LIFO by
-/// [`CacheArray::rollback_to`].
-#[derive(Debug, Clone)]
-enum UndoRec {
-    /// A read hit: restore the LRU timestamp and the array clock.
-    Touch {
-        line: u32,
-        last_used: u64,
-        clock: u64,
-    },
-    /// A write hit: restore word, state, LRU timestamp and array clock.
-    Write {
-        line: u32,
-        offset: u32,
-        word: Word,
-        state: BlockState,
-        last_used: u64,
-        clock: u64,
-    },
-    /// An invalidation (local purge): data and LRU stay in place, so
-    /// restoring the state resurrects the line exactly.
-    StateOnly { line: u32, state: BlockState },
 }
 
 /// A resident line, as resolved by [`CacheArray::lookup`]: where the
@@ -112,64 +82,7 @@ impl CacheArray {
             last_used: vec![0; lines],
             data: vec![0; lines * geometry.block_words as usize],
             clock: 0,
-            speculative: false,
-            log: Vec::new(),
         }
-    }
-
-    /// Turns speculative undo logging on or off. The flag is toggled by
-    /// the parallel engine: on while a shard speculates, briefly off while
-    /// a committed global operation mutates the array.
-    pub fn set_speculative(&mut self, on: bool) {
-        self.speculative = on;
-    }
-
-    /// Number of undo records currently held.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Undoes every speculative mutation past the first `len` records,
-    /// newest first, restoring the array bit-exactly.
-    pub fn rollback_to(&mut self, len: usize) {
-        while self.log.len() > len {
-            let Some(rec) = self.log.pop() else {
-                unreachable!("len checked by the loop condition")
-            };
-            match rec {
-                UndoRec::Touch {
-                    line,
-                    last_used,
-                    clock,
-                } => {
-                    self.last_used[line as usize] = last_used;
-                    self.clock = clock;
-                }
-                UndoRec::Write {
-                    line,
-                    offset,
-                    word,
-                    state,
-                    last_used,
-                    clock,
-                } => {
-                    let i = line as usize;
-                    let at = self.word_index(i, u64::from(offset));
-                    self.data[at] = word;
-                    self.states[i] = state;
-                    self.last_used[i] = last_used;
-                    self.clock = clock;
-                }
-                UndoRec::StateOnly { line, state } => {
-                    self.states[line as usize] = state;
-                }
-            }
-        }
-    }
-
-    /// Discards all undo records, making the speculated mutations final.
-    pub fn commit_log(&mut self) {
-        self.log.clear();
     }
 
     /// The cache's geometry.
@@ -216,13 +129,6 @@ impl CacheArray {
     #[inline(always)]
     pub(crate) fn read_line(&mut self, line: Line, addr: Addr) -> Word {
         let i = line.index;
-        if self.speculative {
-            self.log.push(UndoRec::Touch {
-                line: i as u32,
-                last_used: self.last_used[i],
-                clock: self.clock,
-            });
-        }
         self.touch(i);
         self.data[self.addr_index(i, addr)]
     }
@@ -239,16 +145,6 @@ impl CacheArray {
     ) {
         let i = line.index;
         let at = self.addr_index(i, addr);
-        if self.speculative {
-            self.log.push(UndoRec::Write {
-                line: i as u32,
-                offset: (addr & (self.geometry.block_words - 1)) as u32,
-                word: self.data[at],
-                state: self.states[i],
-                last_used: self.last_used[i],
-                clock: self.clock,
-            });
-        }
         self.touch(i);
         self.data[at] = value;
         self.states[i] = new_state;
@@ -258,7 +154,6 @@ impl CacheArray {
     /// transitions).
     #[inline]
     pub(crate) fn set_line_state(&mut self, line: Line, state: BlockState) {
-        debug_assert!(!self.speculative, "set_state is not a speculative path");
         self.states[line.index] = state;
     }
 
@@ -267,12 +162,6 @@ impl CacheArray {
     pub(crate) fn invalidate_line(&mut self, line: Line) -> BlockState {
         let i = line.index;
         let state = self.states[i];
-        if self.speculative {
-            self.log.push(UndoRec::StateOnly {
-                line: i as u32,
-                state,
-            });
-        }
         self.states[i] = BlockState::Inv;
         state
     }
@@ -363,7 +252,6 @@ impl CacheArray {
         state: BlockState,
         victim_data: &mut [Word],
     ) -> Option<Eviction> {
-        debug_assert!(!self.speculative, "install is not a speculative path");
         let bw = self.geometry.block_words;
         assert_eq!(data.len() as u64, bw, "bad block");
         assert_eq!(victim_data.len() as u64, bw, "bad victim buffer");
@@ -439,13 +327,7 @@ impl CacheArray {
     }
 
     /// Checkpoint hook: serializes the LRU clock and every line.
-    ///
-    /// Checkpoints are only cut between committed engine chunks, so the
-    /// array must be quiescent: not speculating and with an empty undo
-    /// log. Both are debug-asserted; the log is not serialized.
     pub fn save_ckpt(&self, w: &mut pim_ckpt::Writer) {
-        debug_assert!(!self.speculative, "checkpoint during speculation");
-        debug_assert!(self.log.is_empty(), "checkpoint with a live undo log");
         w.put_u64(self.clock);
         w.put_len(self.tags.len());
         for i in 0..self.tags.len() {
@@ -489,8 +371,6 @@ impl CacheArray {
                 self.data[at] = r.get_u64()?;
             }
         }
-        self.speculative = false;
-        self.log.clear();
         Ok(())
     }
 }
@@ -625,44 +505,6 @@ mod tests {
         let mut blocks: Vec<_> = c.valid_blocks().collect();
         blocks.sort();
         assert_eq!(blocks, vec![(0, BlockState::Ec), (4, BlockState::Em)]);
-    }
-
-    #[test]
-    fn speculative_rollback_restores_bit_exact_state() {
-        let mut c = tiny();
-        fill(&mut c, 0, [1, 2, 3, 4], BlockState::Ec);
-        fill(&mut c, 4, [5, 6, 7, 8], BlockState::Em);
-        c.read(1); // fix distinct LRU timestamps before speculation
-        let reference = c.clone();
-
-        c.set_speculative(true);
-        let mark = c.log_len();
-        assert_eq!(c.read(2), Some(3));
-        assert!(c.write(5, 99, BlockState::Em));
-        assert!(c.write(0, 42, BlockState::Em));
-        c.invalidate(4);
-        assert!(!c.contains(4));
-        c.rollback_to(mark);
-        c.set_speculative(false);
-
-        assert_eq!(format!("{c:?}"), format!("{reference:?}"));
-        assert_eq!(c.read(5), Some(6));
-        assert_eq!(c.state_of(0), BlockState::Ec);
-    }
-
-    #[test]
-    fn speculative_partial_rollback_keeps_committed_prefix() {
-        let mut c = tiny();
-        fill(&mut c, 0, [0; 4], BlockState::Ec);
-        c.set_speculative(true);
-        c.write(1, 11, BlockState::Em);
-        let mid = c.log_len();
-        c.write(2, 22, BlockState::Em);
-        c.rollback_to(mid);
-        assert_eq!(c.read(1), Some(11), "pre-mark write survives");
-        assert_eq!(c.read(2), Some(0), "post-mark write undone");
-        c.commit_log();
-        assert_eq!(c.log_len(), 0);
     }
 
     #[test]

@@ -69,6 +69,6 @@ pub use error::{ConfigError, ProtocolError};
 pub use geometry::CacheGeometry;
 pub use lockdir::{LockDirectory, LockState};
 pub use optmask::{OptColumn, OptMask};
-pub use protocol::{Outcome, PeShard, PimSystem, SystemConfig, MAX_PES};
+pub use protocol::{Outcome, PimSystem, SystemConfig, MAX_PES};
 pub use state::BlockState;
 pub use stats::{AccessStats, LockStats};

@@ -168,226 +168,6 @@ enum FillOutcome {
     Refused { holder: PeId },
 }
 
-/// One PE's private slice of the system: its cache array and lock
-/// directory, plus shard-local statistics buffers filled by the parallel
-/// engine's speculative hit path ([`PeShard::try_local`]) and folded back
-/// into the system totals by [`PimSystem::fold_shard_stats`].
-///
-/// The shard owns *copies* of the (immutable) geometry, opt-mask and area
-/// map so the hit path needs no access to shared state — that is what
-/// makes `&mut PeShard` safe to hand to a worker thread while other
-/// shards run concurrently.
-#[derive(Debug, Clone)]
-pub struct PeShard {
-    pe: PeId,
-    cache: CacheArray,
-    lockdir: LockDirectory,
-    geometry: CacheGeometry,
-    opt_mask: OptMask,
-    area_map: AreaMap,
-    // Shard-local accumulators (speculative path only; the sequential
-    // engine records straight into the PimSystem totals).
-    refs: RefStats,
-    access: AccessStats,
-    transitions: Vec<(u64, StorageArea, BlockState, BlockState)>,
-    record_transitions: bool,
-    // Stat/transition effects of each uncommitted speculative operation,
-    // index-aligned with the parallel engine's journal for this shard.
-    pending: Vec<LocalEffect>,
-}
-
-/// The deferred stat effects of one speculative local operation. Every
-/// local operation is a hit (one lookup, one hit); purges and state
-/// transitions vary.
-#[derive(Debug, Clone)]
-struct LocalEffect {
-    /// `cache.log_len()` before the operation — the rollback mark.
-    cache_mark: u32,
-    /// The effective (post-`OptMask`) operation, as `RefStats` records it.
-    op: MemOp,
-    addr: Addr,
-    area: StorageArea,
-    /// `Some(dirty)` if the operation purged the local block.
-    purged: Option<bool>,
-    transition: Option<(BlockState, BlockState)>,
-    /// The issue cycle of the speculative operation, for cycle-stamped
-    /// transition events.
-    now: u64,
-}
-
-impl PeShard {
-    fn new(pe: PeId, config: &SystemConfig) -> PeShard {
-        PeShard {
-            pe,
-            cache: CacheArray::new(config.geometry),
-            lockdir: LockDirectory::new(config.lock_entries),
-            geometry: config.geometry,
-            opt_mask: config.opt_mask,
-            area_map: config.area_map.clone(),
-            refs: RefStats::new(),
-            access: AccessStats::new(),
-            transitions: Vec::new(),
-            record_transitions: false,
-            pending: Vec::new(),
-        }
-    }
-
-    /// This shard's PE id.
-    pub fn pe(&self) -> PeId {
-        self.pe
-    }
-
-    /// The base address of the block containing `addr`.
-    pub fn block_base(&self, addr: Addr) -> Addr {
-        self.geometry.block_base(addr)
-    }
-
-    /// Speculatively executes `op` if it is *provably local*: it touches
-    /// only this shard (a resident hit with no bus transaction) and so
-    /// commutes with every other PE's concurrent local work. Returns the
-    /// operation's value, or `None` when the operation needs the bus,
-    /// remote shards, or the lock protocol — the caller must then route it
-    /// through [`PimSystem::access`] at a barrier.
-    ///
-    /// `now` is the simulated cycle the operation issues at (the PE clock
-    /// after charging the access), used to cycle-stamp buffered state
-    /// transitions for the event tracer.
-    ///
-    /// Mirrors the corresponding hit arms of the `PimSystem` operation
-    /// methods exactly; `tests/` pins the equivalence differentially.
-    pub fn try_local(
-        &mut self,
-        op: MemOp,
-        addr: Addr,
-        data: Option<Word>,
-        now: u64,
-    ) -> Option<Word> {
-        let area = self.area_map.area(addr);
-        let eff = self.opt_mask.effective(area, op);
-        let cache_mark = self.cache.log_len() as u32;
-        let mut purged = None;
-        let mut transition = None;
-        let value = match eff {
-            // Lock traffic always goes through the global protocol: even a
-            // bus-free LR hit consults every remote lock directory.
-            MemOp::LockRead | MemOp::WriteUnlock | MemOp::Unlock => return None,
-            // Every other local operation is a hit on one resolved line; a
-            // miss (including the DW/DWD allocate path, which checks remote
-            // caches) goes global.
-            MemOp::Read | MemOp::ReadInvalidate => {
-                let line = self.cache.lookup(addr)?;
-                self.cache.read_line(line, addr)
-            }
-            MemOp::Write | MemOp::DirectWrite | MemOp::DirectWriteDown => {
-                let line = self.cache.lookup(addr)?;
-                self.local_write(line, addr, data, &mut transition)?
-            }
-            MemOp::ExclusiveRead => {
-                let line = self.cache.lookup(addr)?;
-                let value = self.cache.read_line(line, addr);
-                if self.geometry.is_last_word(addr) {
-                    self.local_purge(line, &mut purged, &mut transition);
-                }
-                value
-            }
-            MemOp::ReadPurge => {
-                let line = self.cache.lookup(addr)?;
-                let value = self.cache.read_line(line, addr);
-                self.local_purge(line, &mut purged, &mut transition);
-                value
-            }
-        };
-        self.pending.push(LocalEffect {
-            cache_mark,
-            op: eff,
-            addr,
-            area,
-            purged,
-            transition,
-            now,
-        });
-        Some(value)
-    }
-
-    /// The `W` hit arm: exclusive states write locally; anything else
-    /// needs an upgrade broadcast or a fill.
-    fn local_write(
-        &mut self,
-        line: Line,
-        addr: Addr,
-        data: Option<Word>,
-        transition: &mut Option<(BlockState, BlockState)>,
-    ) -> Option<Word> {
-        let from = line.state();
-        if !from.is_exclusive() {
-            return None;
-        }
-        let Some(value) = data else {
-            unreachable!("write operations always carry a data word")
-        };
-        self.cache.write_line(line, addr, value, BlockState::Em);
-        if from == BlockState::Ec {
-            *transition = Some((BlockState::Ec, BlockState::Em));
-        }
-        Some(value)
-    }
-
-    fn local_purge(
-        &mut self,
-        line: Line,
-        purged: &mut Option<bool>,
-        transition: &mut Option<(BlockState, BlockState)>,
-    ) {
-        let state = self.cache.invalidate_line(line);
-        *purged = Some(state.is_dirty());
-        *transition = Some((state, BlockState::Inv));
-    }
-
-    /// Number of uncommitted speculative operations.
-    pub fn spec_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Rolls back every speculative operation from index `len` on,
-    /// restoring the cache bit-exactly and dropping their stat effects.
-    pub fn rollback_to(&mut self, len: usize) {
-        if len >= self.pending.len() {
-            return;
-        }
-        self.cache
-            .rollback_to(self.pending[len].cache_mark as usize);
-        self.pending.truncate(len);
-    }
-
-    /// Commits all speculative operations: folds their stat effects into
-    /// the shard accumulators and discards the undo log.
-    pub fn commit_speculation(&mut self) {
-        for e in self.pending.drain(..) {
-            self.access.lookups += 1;
-            self.access.hits += 1;
-            if let Some(dirty) = e.purged {
-                self.access.purges += 1;
-                if dirty {
-                    self.access.dirty_purges += 1;
-                }
-            }
-            self.refs.record(Access::new(self.pe, e.op, e.addr, e.area));
-            if self.record_transitions {
-                if let Some((from, to)) = e.transition {
-                    self.transitions.push((e.now, e.area, from, to));
-                }
-            }
-        }
-        self.cache.commit_log();
-    }
-
-    /// Toggles undo logging on the cache array. On while the shard
-    /// speculates; off while a committed global operation runs.
-    pub fn set_speculating(&mut self, on: bool) {
-        self.cache.set_speculative(on);
-    }
-}
-
 /// Block number → PE mask. Block numbers come from trace addresses, which
 /// are input from outside the program, so the map keeps the standard
 /// collision-resistant hasher.
@@ -397,17 +177,16 @@ type BlockMap = HashMap<u64, u64>;
 ///
 /// Both maps are keyed by block number and hold a PE bitmask:
 ///
-/// * `holders` — PEs whose cache *may* hold the block. The bit is set on
+/// * `holders` — PEs whose cache holds the block. The bit is set on
 ///   every install and cleared whenever [`PimSystem`] drops the line
-///   (invalidation, purge, eviction). The parallel engine's speculative
-///   local purges ([`PeShard::try_local`]) bypass the system, so they can
-///   leave a stale bit but never a missing one: the mask is a superset.
+///   (invalidation, purge, eviction); every cache mutation goes through
+///   the system, so the mask is exact at all times.
 /// * `lockers` — PEs whose lock directory holds a word in the block;
 ///   exact at all times.
 ///
-/// Every candidate is still confirmed by probing its cache or directory,
-/// so a snoop through the index answers exactly as one that asks every
-/// PE, in the same ascending PE order. See DESIGN.md, "Snoop index".
+/// A snoop through the index probes the same caches and directories, in
+/// the same ascending PE order, as one that asks every PE. See DESIGN.md,
+/// "Snoop index".
 #[derive(Debug, Clone, Default)]
 struct SnoopIndex {
     holders: BlockMap,
@@ -450,15 +229,20 @@ impl SnoopIndex {
     }
 
     /// Recomputes both maps exactly from the caches and lock directories.
-    fn rebuild(&mut self, shards: &[PeShard], geometry: &CacheGeometry) {
+    fn rebuild(
+        &mut self,
+        caches: &[CacheArray],
+        lockdirs: &[LockDirectory],
+        geometry: &CacheGeometry,
+    ) {
         self.holders.clear();
         self.lockers.clear();
-        for (i, shard) in shards.iter().enumerate() {
+        for (i, (cache, lockdir)) in caches.iter().zip(lockdirs).enumerate() {
             let pe = PeId(i as u32);
-            for (base, _) in shard.cache.valid_blocks() {
+            for (base, _) in cache.valid_blocks() {
                 self.add_holder(geometry.block_number(base), pe);
             }
-            for addr in shard.lockdir.held_addrs() {
+            for addr in lockdir.held_addrs() {
                 self.add_locker(geometry.block_number(addr), pe);
             }
         }
@@ -478,7 +262,10 @@ fn clear_bit(map: &mut BlockMap, block: u64, pe: PeId) {
 #[derive(Debug)]
 pub struct PimSystem {
     config: SystemConfig,
-    shards: Vec<PeShard>,
+    /// Each PE's cache array, indexed by PE id.
+    caches: Vec<CacheArray>,
+    /// Each PE's lock directory, indexed by PE id.
+    lockdirs: Vec<LockDirectory>,
     memory: SharedMemory,
     bus: BusStats,
     refs: RefStats,
@@ -489,9 +276,6 @@ pub struct PimSystem {
     /// emitted from inside the protocol (state transitions).
     now: u64,
     snoop: SnoopIndex,
-    /// Whether shards have been handed out for speculation since the
-    /// index was last exact ([`PimSystem::fold_shard_stats`] rebuilds it).
-    speculated: bool,
     /// One block of scratch: the words of the block being filled.
     fill_buf: Vec<Word>,
     /// One block of scratch: a dirty victim's words on their way to
@@ -506,7 +290,8 @@ impl Clone for PimSystem {
     fn clone(&self) -> PimSystem {
         PimSystem {
             config: self.config.clone(),
-            shards: self.shards.clone(),
+            caches: self.caches.clone(),
+            lockdirs: self.lockdirs.clone(),
             memory: self.memory.clone(),
             bus: self.bus.clone(),
             refs: self.refs.clone(),
@@ -515,7 +300,6 @@ impl Clone for PimSystem {
             observer: None,
             now: self.now,
             snoop: self.snoop.clone(),
-            speculated: self.speculated,
             fill_buf: self.fill_buf.clone(),
             victim_buf: self.victim_buf.clone(),
         }
@@ -543,10 +327,8 @@ impl PimSystem {
     /// The [`ConfigError`] from [`SystemConfig::validate`].
     pub fn try_new(config: SystemConfig) -> Result<PimSystem, ConfigError> {
         config.validate()?;
-        let shards = (0..config.pes)
-            .map(|pe| PeShard::new(PeId(pe), &config))
-            .collect();
         let geom = config.geometry;
+        let pes = config.pes as usize;
         let block = vec![0; geom.block_words as usize];
         Ok(PimSystem {
             snoop: SnoopIndex::with_capacity(
@@ -554,8 +336,14 @@ impl PimSystem {
                 (geom.sets * geom.ways) as usize,
                 config.lock_entries,
             ),
+            // Built one by one, not cloned: a clone of a lock directory
+            // drops its reserved capacity, and its first lock would
+            // then allocate on the hot path.
+            caches: (0..pes).map(|_| CacheArray::new(geom)).collect(),
+            lockdirs: (0..pes)
+                .map(|_| LockDirectory::new(config.lock_entries))
+                .collect(),
             config,
-            shards,
             memory: SharedMemory::new(),
             bus: BusStats::new(),
             refs: RefStats::new(),
@@ -563,111 +351,26 @@ impl PimSystem {
             lock_stats: LockStats::new(),
             observer: None,
             now: 0,
-            speculated: false,
             fill_buf: block.clone(),
             victim_buf: block,
         })
     }
 
-    /// Mutable access to the per-PE shards, for the parallel engine: the
-    /// slice can be split and each `&mut PeShard` driven from a worker
-    /// thread via [`PeShard::try_local`] while the shared core is left
-    /// alone.
-    pub fn shards_mut(&mut self) -> &mut [PeShard] {
-        self.speculated = true;
-        &mut self.shards
-    }
-
-    /// Moves the per-PE shards out of the system so worker threads can own
-    /// them between barriers. While taken, [`PimSystem::access`] must not
-    /// be called; give them back with [`PimSystem::put_shards`] first.
-    pub fn take_shards(&mut self) -> Vec<PeShard> {
-        self.speculated = true;
-        std::mem::take(&mut self.shards)
-    }
-
-    /// Returns shards previously removed with [`PimSystem::take_shards`].
-    /// The vector must contain the same shards in PE order.
-    pub fn put_shards(&mut self, shards: Vec<PeShard>) {
-        debug_assert!(self.shards.is_empty(), "put_shards over resident shards");
-        debug_assert_eq!(shards.len(), self.config.pes as usize);
-        self.shards = shards;
-    }
-
-    /// Prepares every shard for a parallel run: arms the speculative undo
-    /// logs and enables transition buffering iff an observer is attached.
-    pub fn begin_sharded_run(&mut self) {
-        let record = self.observer.is_some();
-        for shard in &mut self.shards {
-            shard.record_transitions = record;
-            shard.set_speculating(true);
-        }
-    }
-
-    /// Suspends speculative undo logging on every shard while a committed
-    /// global operation mutates remote shards (its effects must not be
-    /// rolled back with the speculation).
-    pub fn pause_speculation(&mut self) {
-        for shard in &mut self.shards {
-            shard.set_speculating(false);
-        }
-    }
-
-    /// Re-arms speculative undo logging after [`PimSystem::pause_speculation`].
-    pub fn resume_speculation(&mut self) {
-        for shard in &mut self.shards {
-            shard.set_speculating(true);
-        }
-    }
-
-    /// Commits all outstanding speculation and folds every shard-local
-    /// accumulator into the system totals, forwarding buffered state
-    /// transitions to the observer (grouped by PE; the transition counts
-    /// are commutative, so reports are bit-identical to sequential runs).
-    /// After this the shard buffers are empty, logging is off, and the
-    /// snoop index is exact again.
-    pub fn fold_shard_stats(&mut self) {
-        for i in 0..self.shards.len() {
-            self.shards[i].commit_speculation();
-            let refs = std::mem::take(&mut self.shards[i].refs);
-            self.refs.merge(&refs);
-            let access = std::mem::take(&mut self.shards[i].access);
-            self.access_stats.merge(&access);
-            let transitions = std::mem::take(&mut self.shards[i].transitions);
-            if let Some(obs) = self.observer.as_deref_mut() {
-                let pe = PeId(i as u32);
-                for (cycle, area, from, to) in transitions {
-                    obs.state_transition(pe, area, from.into(), to.into(), cycle);
-                }
-            }
-            self.shards[i].record_transitions = false;
-            self.shards[i].set_speculating(false);
-        }
-        self.rebuild_snoop_index();
-    }
-
     /// Recomputes the snoop index from the caches and lock directories.
     /// The index is derived state: it is never checkpointed, only rebuilt.
     fn rebuild_snoop_index(&mut self) {
-        self.snoop.rebuild(&self.shards, &self.config.geometry);
-        self.speculated = false;
+        self.snoop
+            .rebuild(&self.caches, &self.lockdirs, &self.config.geometry);
     }
 
     /// Checkpoint hook: serializes the complete coherence state — every
-    /// shard's cache array and lock directory, the shared memory, and the
+    /// PE's cache array and lock directory, the shared memory, and the
     /// system-level statistics accumulators.
-    ///
-    /// Must be called at a quiesced point: all speculation committed and
-    /// shard-local accumulators folded (see
-    /// [`PimSystem::fold_shard_stats`]). This holds between engine run
-    /// chunks, which is the only place checkpoints are cut.
     pub fn save_ckpt(&self, w: &mut pim_ckpt::Writer) {
-        w.put_len(self.shards.len());
-        for shard in &self.shards {
-            debug_assert!(shard.pending.is_empty(), "checkpoint with uncommitted ops");
-            debug_assert!(shard.refs.total() == 0, "checkpoint with unfolded refs");
-            shard.cache.save_ckpt(w);
-            shard.lockdir.save_ckpt(w);
+        w.put_len(self.caches.len());
+        for (cache, lockdir) in self.caches.iter().zip(&self.lockdirs) {
+            cache.save_ckpt(w);
+            lockdir.save_ckpt(w);
         }
         self.memory.save_ckpt(w);
         self.bus.save_ckpt(w);
@@ -711,14 +414,14 @@ impl PimSystem {
         r: &mut pim_ckpt::Reader<'_>,
     ) -> Result<(), pim_ckpt::CkptError> {
         let n = r.get_len()?;
-        if n != self.shards.len() {
+        if n != self.caches.len() {
             return Err(pim_ckpt::CkptError::Mismatch {
-                detail: format!("system has {} PEs, checkpoint has {n}", self.shards.len()),
+                detail: format!("system has {} PEs, checkpoint has {n}", self.caches.len()),
             });
         }
-        for shard in self.shards.iter_mut() {
-            shard.cache.restore_ckpt(r)?;
-            shard.lockdir.restore_ckpt(r)?;
+        for (cache, lockdir) in self.caches.iter_mut().zip(&mut self.lockdirs) {
+            cache.restore_ckpt(r)?;
+            lockdir.restore_ckpt(r)?;
         }
         self.memory.restore_ckpt(r)?;
         self.bus.restore_ckpt(r)?;
@@ -761,11 +464,10 @@ impl PimSystem {
     /// and its registered waiters, if any PE holds a lock on that word
     /// (testing hook for lock-invariant checks).
     pub fn lock_holder(&self, addr: Addr) -> Option<(PeId, Vec<PeId>)> {
-        self.shards.iter().enumerate().find_map(|(i, s)| {
-            s.lockdir
-                .holds(addr)
-                .then(|| (PeId(i as u32), s.lockdir.waiters(addr)))
-        })
+        self.lockdirs
+            .iter()
+            .enumerate()
+            .find_map(|(i, dir)| dir.holds(addr).then(|| (PeId(i as u32), dir.waiters(addr))))
     }
 
     /// The cache-side view of `addr`'s block in `pe`'s cache: its protocol
@@ -773,16 +475,16 @@ impl PimSystem {
     /// model checking — excludes replacement bookkeeping on purpose, so two
     /// systems with equal views are behaviorally equivalent on one block).
     pub fn cache_view(&self, pe: PeId, addr: Addr) -> Option<(BlockState, Vec<Word>)> {
-        let cache = &self.shards[pe.index()].cache;
+        let cache = &self.caches[pe.index()];
         Some((cache.state_of(addr), cache.block(addr)?.to_vec()))
     }
 
     /// The lock-directory view of `addr` in `pe`'s own directory: its entry
     /// state and registered waiters, or `None` when absent (testing hook).
     pub fn lock_view(&self, pe: PeId, addr: Addr) -> Option<(LockState, Vec<PeId>)> {
-        let shard = &self.shards[pe.index()];
-        let state = shard.lockdir.state_of(addr)?;
-        Some((state, shard.lockdir.waiters(addr)))
+        let dir = &self.lockdirs[pe.index()];
+        let state = dir.state_of(addr)?;
+        Some((state, dir.waiters(addr)))
     }
 
     /// Attaches an observer receiving a [`pim_obs::Observer::state_transition`]
@@ -835,7 +537,7 @@ impl PimSystem {
     /// load program text and boot images before measurement starts.
     pub fn poke(&mut self, addr: Addr, value: Word) {
         debug_assert!(
-            !self.shards.iter().any(|s| s.cache.contains(addr)),
+            !self.caches.iter().any(|c| c.contains(addr)),
             "poke under a cached block"
         );
         self.memory.write(addr, value);
@@ -847,7 +549,7 @@ impl PimSystem {
     pub fn peek(&self, addr: Addr) -> Word {
         let block = self.config.geometry.block_number(addr);
         pes_in(self.snoop.holders(block))
-            .find_map(|pe| self.shards[pe.index()].cache.snapshot_word(addr))
+            .find_map(|pe| self.caches[pe.index()].snapshot_word(addr))
             .unwrap_or_else(|| self.memory.read(addr))
     }
 
@@ -880,7 +582,7 @@ impl PimSystem {
         addr: Addr,
         data: Option<Word>,
     ) -> Result<Outcome, ProtocolError> {
-        assert!((pe.index()) < self.shards.len(), "unknown {pe}");
+        assert!((pe.index()) < self.caches.len(), "unknown {pe}");
         let area = self.config.area_map.area(addr);
         let eff = self.config.opt_mask.effective(area, op);
 
@@ -920,16 +622,14 @@ impl PimSystem {
     /// The line holding `addr`'s block in `pe`'s cache, if resident.
     #[inline]
     fn lookup(&self, pe: PeId, addr: Addr) -> Option<Line> {
-        self.shards[pe.index()].cache.lookup(addr)
+        self.caches[pe.index()].lookup(addr)
     }
 
     /// Writes `addr`'s word into `pe`'s resident `line`, moving it to
     /// `state`.
     #[inline(always)]
     fn write_line(&mut self, pe: PeId, line: Line, addr: Addr, value: Word, state: BlockState) {
-        self.shards[pe.index()]
-            .cache
-            .write_line(line, addr, value, state);
+        self.caches[pe.index()].write_line(line, addr, value, state);
         if line.state() != state {
             self.emit_transition(pe, addr, line.state(), state);
         }
@@ -937,7 +637,7 @@ impl PimSystem {
 
     /// Moves `pe`'s resident `line` to `state`.
     fn set_line_state(&mut self, pe: PeId, line: Line, addr: Addr, state: BlockState) {
-        self.shards[pe.index()].cache.set_line_state(line, state);
+        self.caches[pe.index()].set_line_state(line, state);
         if line.state() != state {
             self.emit_transition(pe, addr, line.state(), state);
         }
@@ -956,7 +656,7 @@ impl PimSystem {
     /// in `pe`'s cache. Residency is an invariant at every call site,
     /// so a miss here is a protocol bug, not a recoverable condition.
     fn read_resident(&mut self, pe: PeId, addr: Addr) -> Word {
-        let Some(value) = self.shards[pe.index()].cache.read(addr) else {
+        let Some(value) = self.caches[pe.index()].read(addr) else {
             unreachable!("word {addr:#x} verified resident on PE{}", pe.0)
         };
         value
@@ -976,7 +676,7 @@ impl PimSystem {
     /// Invalidates `pe`'s resident `line` (holding `addr`'s block),
     /// returning its state before.
     fn drop_line(&mut self, pe: PeId, line: Line, addr: Addr) -> BlockState {
-        let dropped = self.shards[pe.index()].cache.invalidate_line(line);
+        let dropped = self.caches[pe.index()].invalidate_line(line);
         let block = self.config.geometry.block_number(addr);
         self.snoop.remove_holder(block, pe);
         self.emit_transition(pe, addr, dropped, BlockState::Inv);
@@ -992,10 +692,7 @@ impl PimSystem {
         data: &[Word],
         state: BlockState,
     ) -> Option<Eviction> {
-        let evicted =
-            self.shards[pe.index()]
-                .cache
-                .install(base, data, state, &mut self.victim_buf);
+        let evicted = self.caches[pe.index()].install(base, data, state, &mut self.victim_buf);
         let geom = self.config.geometry;
         if let Some(ev) = evicted {
             self.snoop.remove_holder(geom.block_number(ev.base), pe);
@@ -1016,14 +713,13 @@ impl PimSystem {
         let geom = &self.config.geometry;
         let lockers = self.snoop.lockers(geom.block_number(base)) & !requester.bit();
         pes_in(lockers).find_map(|pe| {
-            self.shards[pe.index()]
-                .lockdir
+            self.lockdirs[pe.index()]
                 .locked_word_in_block(base, geom.block_words)
                 .map(|w| (pe, w))
         })
     }
 
-    /// The other PEs whose caches may hold `addr`'s block (a superset; see
+    /// The other PEs whose caches hold `addr`'s block (see
     /// [`SnoopIndex`]).
     fn remote_holders(&self, requester: PeId, addr: Addr) -> u64 {
         let block = self.config.geometry.block_number(addr);
@@ -1039,9 +735,7 @@ impl PimSystem {
         locked_word: Addr,
         area: StorageArea,
     ) -> Outcome {
-        self.shards[holder.index()]
-            .lockdir
-            .register_waiter(locked_word, requester);
+        self.lockdirs[holder.index()].register_waiter(locked_word, requester);
         self.lock_stats.lr_refused += 1;
         self.bus.record_refusal(area);
         Outcome::LockBusy { holder }
@@ -1052,7 +746,7 @@ impl PimSystem {
     fn find_supplier(&self, requester: PeId, base: Addr) -> Option<(PeId, BlockState)> {
         let mut clean = None;
         for pe in pes_in(self.remote_holders(requester, base)) {
-            let state = self.shards[pe.index()].cache.state_of(base);
+            let state = self.caches[pe.index()].state_of(base);
             if state.is_dirty() {
                 return Some((pe, state));
             }
@@ -1066,7 +760,7 @@ impl PimSystem {
     /// Whether any other cache holds `base` (the `DW` contract check).
     fn held_remotely(&self, requester: PeId, base: Addr) -> bool {
         pes_in(self.remote_holders(requester, base))
-            .any(|pe| self.shards[pe.index()].cache.contains(base))
+            .any(|pe| self.caches[pe.index()].contains(base))
     }
 
     /// Invalidates every other cache's copy of `base`'s block, in PE
@@ -1126,7 +820,7 @@ impl PimSystem {
         let (state, source) = match supplier {
             Some((sup, sup_state)) => {
                 let dirty = sup_state.is_dirty();
-                let Some(block) = self.shards[sup.index()].cache.block(base) else {
+                let Some(block) = self.caches[sup.index()].block(base) else {
                     unreachable!("supplier had the block")
                 };
                 data.copy_from_slice(block);
@@ -1249,7 +943,7 @@ impl PimSystem {
             return self.read_miss(pe, addr, area);
         };
         self.access_stats.hits += 1;
-        let value = self.shards[pe.index()].cache.read_line(line, addr);
+        let value = self.caches[pe.index()].read_line(line, addr);
         done(value, 0, true)
     }
 
@@ -1458,7 +1152,7 @@ impl PimSystem {
     fn read_and_purge(&mut self, pe: PeId, addr: Addr, line: Line) -> Outcome {
         self.access_stats.lookups += 1;
         self.access_stats.hits += 1;
-        let value = self.shards[pe.index()].cache.read_line(line, addr);
+        let value = self.caches[pe.index()].read_line(line, addr);
         let state = self.drop_line(pe, line, addr);
         self.access_stats.purges += 1;
         if state.is_dirty() {
@@ -1506,7 +1200,7 @@ impl PimSystem {
         addr: Addr,
         area: StorageArea,
     ) -> Result<Outcome, ProtocolError> {
-        if self.shards[pe.index()].lockdir.holds(addr) {
+        if self.lockdirs[pe.index()].holds(addr) {
             return Err(ProtocolError::AlreadyLocked { addr });
         }
         let base = self.config.geometry.block_base(addr);
@@ -1524,7 +1218,7 @@ impl PimSystem {
                 self.lock_stats.lr_hits += 1;
                 self.lock_stats.lr_hits_exclusive += 1;
                 self.access_stats.hits += 1;
-                let value = self.shards[pe.index()].cache.read_line(line, addr);
+                let value = self.caches[pe.index()].read_line(line, addr);
                 done(value, 0, true)
             }
             Some(line) => {
@@ -1544,7 +1238,7 @@ impl PimSystem {
                 self.lock_stats.lr_total += 1;
                 self.lock_stats.lr_hits += 1;
                 self.access_stats.hits += 1;
-                let value = self.shards[pe.index()].cache.read_line(line, addr);
+                let value = self.caches[pe.index()].read_line(line, addr);
                 done(value, cycles, true)
             }
             None => match self.fill(pe, addr, true, true, true, area) {
@@ -1571,7 +1265,7 @@ impl PimSystem {
         value: Word,
         area: StorageArea,
     ) -> Result<Outcome, ProtocolError> {
-        if !self.shards[pe.index()].lockdir.holds(addr) {
+        if !self.lockdirs[pe.index()].holds(addr) {
             return Err(ProtocolError::NotLocked { addr });
         }
         let write_outcome = self.write(pe, addr, value, area);
@@ -1601,7 +1295,7 @@ impl PimSystem {
         addr: Addr,
         area: StorageArea,
     ) -> Result<Outcome, ProtocolError> {
-        if !self.shards[pe.index()].lockdir.holds(addr) {
+        if !self.lockdirs[pe.index()].holds(addr) {
             return Err(ProtocolError::NotLocked { addr });
         }
         let (cycles, woken) = self.release(pe, addr, area)?;
@@ -1616,7 +1310,7 @@ impl PimSystem {
     /// Registers `addr` in `pe`'s lock directory and the snoop index,
     /// and records the lock-directory occupancy high-water mark.
     fn lock_word(&mut self, pe: PeId, addr: Addr) -> Result<(), ProtocolError> {
-        let dir = &mut self.shards[pe.index()].lockdir;
+        let dir = &mut self.lockdirs[pe.index()];
         dir.lock(addr)?;
         let depth = dir.len() as u64;
         self.lock_stats.max_simultaneous_locks = self.lock_stats.max_simultaneous_locks.max(depth);
@@ -1633,7 +1327,7 @@ impl PimSystem {
         area: StorageArea,
     ) -> Result<(u64, PeSet), ProtocolError> {
         let geom = self.config.geometry;
-        let dir = &mut self.shards[pe.index()].lockdir;
+        let dir = &mut self.lockdirs[pe.index()];
         let woken = dir.unlock(addr)?;
         if dir
             .locked_word_in_block(geom.block_base(addr), geom.block_words)
@@ -1674,8 +1368,8 @@ impl PimSystem {
     ///
     /// and that the snoop index agrees with them:
     ///
-    /// 5. every valid copy's holder bit is set, and outside parallel
-    ///    speculation no other bit is;
+    /// 5. the holder mask of every block names exactly the PEs whose cache
+    ///    holds a valid copy of it;
     /// 6. the lock mask of every block names exactly the PEs whose lock
     ///    directory holds a word in it.
     ///
@@ -1685,8 +1379,8 @@ impl PimSystem {
     pub fn check_coherence_invariants(&self) -> Result<(), String> {
         self.check_snoop_index()?;
         let mut holders: HashMap<Addr, Vec<(PeId, BlockState)>> = HashMap::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            for (base, state) in shard.cache.valid_blocks() {
+        for (i, cache) in self.caches.iter().enumerate() {
+            for (base, state) in cache.valid_blocks() {
                 holders
                     .entry(base)
                     .or_default()
@@ -1713,9 +1407,9 @@ impl PimSystem {
                     }
                 }
             }
-            let first = self.shards[list[0].0.index()].cache.block(base);
+            let first = self.caches[list[0].0.index()].block(base);
             for (pe, _) in &list[1..] {
-                if self.shards[pe.index()].cache.block(base) != first {
+                if self.caches[pe.index()].block(base) != first {
                     return Err(format!("block {base:#x}: copies diverge"));
                 }
             }
@@ -1727,23 +1421,20 @@ impl PimSystem {
     /// compares the snoop index with one rebuilt from scratch.
     fn check_snoop_index(&self) -> Result<(), String> {
         let mut exact = SnoopIndex::default();
-        exact.rebuild(&self.shards, &self.config.geometry);
+        exact.rebuild(&self.caches, &self.lockdirs, &self.config.geometry);
         for (&block, &mask) in &exact.holders {
             let indexed = self.snoop.holders(block);
-            if mask & !indexed != 0 {
+            if mask != indexed {
                 return Err(format!(
-                    "block {block:#x}: holders {mask:#x} missing from snoop index {indexed:#x}"
+                    "block {block:#x}: holders {mask:#x} but snoop index {indexed:#x}"
                 ));
             }
         }
-        if !self.speculated {
-            for (&block, &indexed) in &self.snoop.holders {
-                let mask = exact.holders(block);
-                if indexed != mask {
-                    return Err(format!(
-                        "block {block:#x}: snoop index {indexed:#x} but holders {mask:#x}"
-                    ));
-                }
+        for (&block, &indexed) in &self.snoop.holders {
+            if exact.holders(block) == 0 {
+                return Err(format!(
+                    "block {block:#x}: snoop index {indexed:#x} but no holders"
+                ));
             }
         }
         if exact.lockers != self.snoop.lockers {
@@ -1757,12 +1448,12 @@ impl PimSystem {
 
     /// The cache state of `addr` in `pe`'s cache (testing hook).
     pub fn cache_state(&self, pe: PeId, addr: Addr) -> BlockState {
-        self.shards[pe.index()].cache.state_of(addr)
+        self.caches[pe.index()].state_of(addr)
     }
 
     /// Whether `pe` currently holds a lock on `addr` (testing hook).
     pub fn holds_lock(&self, pe: PeId, addr: Addr) -> bool {
-        self.shards[pe.index()].lockdir.holds(addr)
+        self.lockdirs[pe.index()].holds(addr)
     }
 }
 

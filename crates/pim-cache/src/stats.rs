@@ -36,16 +36,6 @@ impl AccessStats {
             1.0 - self.hits as f64 / self.lookups as f64
         }
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &AccessStats) {
-        self.lookups += other.lookups;
-        self.hits += other.hits;
-        self.dw_allocations += other.dw_allocations;
-        self.dw_contract_violations += other.dw_contract_violations;
-        self.purges += other.purges;
-        self.dirty_purges += other.dirty_purges;
-    }
 }
 
 /// Lock-protocol statistics (paper Table 5).
@@ -89,19 +79,6 @@ impl LockStats {
     pub fn unlock_no_waiter_ratio(&self) -> f64 {
         ratio(self.unlock_no_waiter, self.unlock_total)
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &LockStats) {
-        self.lr_total += other.lr_total;
-        self.lr_hits += other.lr_hits;
-        self.lr_hits_exclusive += other.lr_hits_exclusive;
-        self.unlock_total += other.unlock_total;
-        self.unlock_no_waiter += other.unlock_no_waiter;
-        self.lr_refused += other.lr_refused;
-        self.max_simultaneous_locks = self
-            .max_simultaneous_locks
-            .max(other.max_simultaneous_locks);
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -139,30 +116,5 @@ mod tests {
         assert!((s.lr_hit_ratio() - 0.8).abs() < 1e-12);
         assert!((s.lr_hit_exclusive_ratio() - 0.7).abs() < 1e-12);
         assert!((s.unlock_no_waiter_ratio() - 0.99).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_sums() {
-        let mut a = AccessStats {
-            lookups: 1,
-            hits: 1,
-            ..AccessStats::new()
-        };
-        a.merge(&AccessStats {
-            lookups: 3,
-            hits: 1,
-            dw_allocations: 2,
-            ..AccessStats::new()
-        });
-        assert_eq!(a.lookups, 4);
-        assert_eq!(a.hits, 2);
-        assert_eq!(a.dw_allocations, 2);
-
-        let mut l = LockStats::new();
-        l.merge(&LockStats {
-            lr_total: 5,
-            ..LockStats::new()
-        });
-        assert_eq!(l.lr_total, 5);
     }
 }

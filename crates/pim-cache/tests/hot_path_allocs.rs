@@ -11,6 +11,8 @@
 //!   contended lock-churn stream make no allocation per step either: not
 //!   in the scheduler's pick, not for `LH` refusals (waiters are a PE
 //!   mask), not for wake-ups;
+//! * a fresh system's first lock on every PE allocates nothing: each
+//!   lock directory is built with its entries reserved;
 //! * splitting a merged trace into per-PE replay streams allocates the
 //!   same number of times for 1 K accesses as for 400 K: each stream is
 //!   sized once.
@@ -147,6 +149,22 @@ fn heap_mix_replay_through_the_engine_makes_no_allocation_after_warm_up() {
         "the stream must stay miss-heavy"
     );
     assert_eq!(allocs, 0, "{allocs} allocations over {steps} steps");
+}
+
+#[test]
+fn first_locks_on_a_fresh_system_make_no_allocation() {
+    let mut sys = system();
+    let heap = sys.area_map().base(pim_trace::StorageArea::Heap);
+    let before = pim_perf::thread_allocs();
+    for pe in 0..PES {
+        let addr = heap + u64::from(pe) * 64;
+        sys.access(PeId(pe), pim_trace::MemOp::LockRead, addr, None)
+            .expect("first lock");
+        sys.access(PeId(pe), pim_trace::MemOp::Unlock, addr, None)
+            .expect("unlock");
+    }
+    let allocs = pim_perf::thread_allocs() - before;
+    assert_eq!(allocs, 0, "{allocs} allocations for {PES} first locks");
 }
 
 #[test]

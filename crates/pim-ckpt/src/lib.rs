@@ -339,6 +339,23 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// The name of the section starting at the read position, without
+    /// consuming anything — for a reader that accepts more than one
+    /// layout of a section.
+    pub fn peek_section(&self) -> Result<&'a str, CkptError> {
+        let mut r = Reader {
+            buf: self.buf,
+            pos: self.pos,
+        };
+        let n = r.get_u32()? as usize;
+        let name = r.take(n, "section name").map_err(|_| CkptError::Corrupt {
+            detail: format!("section name of {n} bytes overruns payload"),
+        })?;
+        std::str::from_utf8(name).map_err(|_| CkptError::Corrupt {
+            detail: "section name is not UTF-8".into(),
+        })
+    }
+
     /// Enters the named section, runs `f` over its body, and verifies
     /// `f` consumed the section exactly — over- and under-reads are
     /// both corruption.
@@ -346,23 +363,13 @@ impl<'a> Reader<'a> {
     where
         F: FnOnce(&mut Reader<'a>) -> Result<T, CkptError>,
     {
-        let n = self.get_u32()? as usize;
-        if self.buf.len() - self.pos < n {
-            return Err(CkptError::Corrupt {
-                detail: format!("section name of {n} bytes overruns payload"),
-            });
-        }
-        let found = std::str::from_utf8(&self.buf[self.pos..self.pos + n]).map_err(|_| {
-            CkptError::Corrupt {
-                detail: "section name is not UTF-8".into(),
-            }
-        })?;
+        let found = self.peek_section()?;
         if found != name {
             return Err(CkptError::Corrupt {
                 detail: format!("expected section `{name}`, found `{found}`"),
             });
         }
-        self.pos += n;
+        self.pos += 4 + found.len();
         let len = self.get_len()?;
         let end = self.pos + len;
         let mut inner = Reader {
@@ -833,6 +840,25 @@ mod tests {
         let mut r = Reader::new(payload);
         let e = r.section("t", |_r| Ok(())).unwrap_err();
         assert!(e.to_string().contains("expected section `t`"), "{e}");
+    }
+
+    #[test]
+    fn peek_section_names_the_next_section_without_consuming_it() {
+        let mut w = Writer::new();
+        w.section("first", |w| w.put_u8(1));
+        w.section("second", |w| w.put_u8(2));
+        let mut r = Reader::new(w.payload());
+        assert_eq!(r.peek_section().unwrap(), "first");
+        assert_eq!(r.section("first", |r| r.get_u8()).unwrap(), 1);
+        assert_eq!(r.peek_section().unwrap(), "second");
+        assert_eq!(r.section("second", |r| r.get_u8()).unwrap(), 2);
+        let e = r.peek_section().unwrap_err();
+        assert!(matches!(e, CkptError::Corrupt { .. }), "{e}");
+        // A name longer than the payload is corruption, not a panic.
+        let mut bad = Writer::new();
+        bad.put_u32(1 << 20);
+        let e = Reader::new(bad.payload()).peek_section().unwrap_err();
+        assert!(e.to_string().contains("overruns payload"), "{e}");
     }
 
     #[test]

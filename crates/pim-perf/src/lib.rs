@@ -12,8 +12,7 @@
 //! * **Scoped phase spans** — [`span`] returns an RAII guard that, while
 //!   the global profiler is enabled, attributes the enclosed wall time
 //!   to a named phase (`trace parse`, `compile`, `engine run`,
-//!   `emulator run`, `epoch barrier`, `coordinator replay`, `gc`,
-//!   `report write`, …). Spans nest; the
+//!   `emulator run`, `gc`, `report write`, …). Spans nest; the
 //!   aggregate tracks both *total* time (guard lifetime) and *self*
 //!   time (total minus enclosed child spans), so a breakdown never
 //!   double-counts a nested phase. Balance is structural: the guard
@@ -60,14 +59,8 @@ pub mod phase {
     /// The KL1 emulator running on flat memory, with no engine
     /// (`kl1run --flat`).
     pub const EMULATOR_RUN: &str = "emulator run";
-    /// The simulation engine's main loop (either engine).
+    /// The simulation engine's main loop.
     pub const ENGINE_RUN: &str = "engine run";
-    /// Parallel engine: fan-out/drain of a speculation epoch — the time
-    /// the coordinator spends waiting at the worker barrier.
-    pub const EPOCH_BARRIER: &str = "epoch barrier";
-    /// Parallel engine: replaying one global operation in committed
-    /// `(cycle, PE)` order on the coordinator.
-    pub const COORD_REPLAY: &str = "coordinator replay";
     /// KL1 machine stop-and-copy garbage collection.
     pub const GC: &str = "gc";
     /// Serializing and writing reports, profiles, and trace files.
@@ -634,11 +627,11 @@ mod tests {
         let p = Profiler::new();
         p.enable();
         for _ in 0..10 {
-            let _s = p.span("coordinator replay");
+            let _s = p.span("checkpoint");
         }
         let r = p.snapshot();
         let s = &r.phases[0];
-        assert_eq!((s.name, s.count), ("coordinator replay", 10));
+        assert_eq!((s.name, s.count), ("checkpoint", 10));
         assert!(s.self_ns <= s.total_ns);
     }
 
@@ -650,15 +643,15 @@ mod tests {
             let _main = p.span("engine run");
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let _s = p.span("epoch barrier");
+                    let _s = p.span("experiment");
                     std::thread::sleep(Duration::from_millis(1));
                 });
             }
         });
         assert_eq!(p.open_spans(), 0);
         let r = p.snapshot();
-        let barrier = r.phases.iter().find(|s| s.name == "epoch barrier").unwrap();
-        assert_eq!(barrier.count, 4);
+        let cells = r.phases.iter().find(|s| s.name == "experiment").unwrap();
+        assert_eq!(cells.count, 4);
         // Worker spans never nested under the main thread's span, so the
         // main span's self time is its own lifetime.
         let main = r.phases.iter().find(|s| s.name == "engine run").unwrap();

@@ -588,11 +588,9 @@ impl<S: MemorySystem> MemoryPort for EnginePort<'_, S> {
                 ..
             } => {
                 if bus_cycles > 0 {
-                    // The same pure arbitration the parallel engine applies
-                    // at its epoch barriers — sharing it is what makes the
-                    // two engines bit-identical. Fault decisions key on the
-                    // issue cycle and PE id, which are engine-independent,
-                    // so the injected schedule is bit-identical too.
+                    // Fault decisions key on the issue cycle and PE id, so
+                    // the injected schedule is a pure function of the
+                    // simulated run.
                     let grant = match self.fault_plan {
                         Some(plan) => {
                             let fg = arbitrate_with_faults(

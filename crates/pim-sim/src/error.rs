@@ -1,6 +1,6 @@
-//! Structured simulation errors: every recoverable failure the engines
-//! can hit — deadlock, protocol misuse, watchdog expiry, a stuck replay
-//! — is reported as a [`SimError`] instead of a panic, so callers can
+//! Structured simulation errors: every recoverable failure the engine
+//! can hit — deadlock, protocol misuse, watchdog expiry, a wall-clock
+//! timeout — is reported as a [`SimError`] instead of a panic, so callers can
 //! print a diagnostic and exit cleanly.
 
 use pim_cache::ProtocolError;
@@ -46,13 +46,6 @@ pub enum SimError {
         /// The configured budget.
         budget: u64,
     },
-    /// The parallel engine's replay of a speculated lane made no
-    /// progress — the speculation and its replay disagree, which means
-    /// the process is not deterministic under re-execution.
-    ReplayStuck {
-        /// The PEs whose lanes were stuck.
-        pes: Vec<PeId>,
-    },
     /// The host-side wall-clock deadline (`--timeout SECS`) expired
     /// before the simulation finished. Unlike [`WatchdogExpired`]
     /// (a *simulated*-cycle budget), this bounds real time: a
@@ -94,16 +87,6 @@ impl std::fmt::Display for SimError {
                     f,
                     "watchdog expired: {pe} reached cycle {clock} against a budget of {budget}"
                 )
-            }
-            SimError::ReplayStuck { pes } => {
-                write!(f, "speculative replay stuck on ")?;
-                for (i, pe) in pes.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{pe}")?;
-                }
-                Ok(())
             }
             SimError::WallClockExpired {
                 budget_secs,
@@ -149,10 +132,6 @@ mod tests {
             budget: 1000,
         };
         assert!(e.to_string().contains("budget of 1000"));
-        let e = SimError::ReplayStuck {
-            pes: vec![PeId(0), PeId(1)],
-        };
-        assert_eq!(e.to_string(), "speculative replay stuck on PE0, PE1");
         let e = SimError::WallClockExpired {
             budget_secs: 30,
             cycle: 12345,

@@ -24,7 +24,6 @@
 pub mod engine;
 pub mod error;
 pub mod illinois;
-pub mod parallel;
 pub mod replay;
 pub mod sched;
 pub mod system;
@@ -32,7 +31,6 @@ pub mod system;
 pub use engine::{Engine, Process, RunStats, StepOutcome};
 pub use error::SimError;
 pub use illinois::IllinoisSystem;
-pub use parallel::{ParallelEngine, ProcessShard, ShardableProcess};
-pub use replay::{ReplayShard, Replayer};
+pub use replay::Replayer;
 pub use sched::ClockTree;
-pub use system::{MemorySystem, ShardedSystem, SystemShard};
+pub use system::MemorySystem;

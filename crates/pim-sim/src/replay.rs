@@ -1,7 +1,6 @@
 //! Trace replay: drives recorded or synthetic access streams through the
 //! engine, one per PE.
 
-use crate::parallel::{ProcessShard, ShardableProcess};
 use crate::{Process, StepOutcome};
 use pim_trace::{Access, Addr, MemOp, MemoryPort, PeId, PortValue, Word};
 
@@ -31,8 +30,8 @@ impl From<Access> for Ref {
 }
 
 /// The write payload replayed at `cursor` of PE `pe`'s stream:
-/// deterministic and position-derived, so replays (and rewound parallel
-/// shards) are functionally self-consistent.
+/// deterministic and position-derived, so replays are functionally
+/// self-consistent.
 #[inline]
 fn payload(pe: usize, cursor: usize, op: MemOp) -> Option<Word> {
     op.is_write().then_some((pe as Word) << 32 | cursor as Word)
@@ -191,62 +190,6 @@ impl Process for Replayer {
                 }
             },
         }
-    }
-}
-
-/// One PE's slice of a [`Replayer`]: its stream plus a rewindable cursor.
-/// Write payloads are derived from the cursor, so a rewound shard replays
-/// the identical operations.
-#[derive(Debug)]
-pub struct ReplayShard {
-    pe: usize,
-    stream: Vec<Ref>,
-    cursor: usize,
-}
-
-impl ProcessShard for ReplayShard {
-    fn peek(&self) -> Option<(MemOp, Addr, Option<Word>)> {
-        self.stream
-            .get(self.cursor)
-            .map(|&r| (r.op, r.addr, payload(self.pe, self.cursor, r.op)))
-    }
-
-    fn advance(&mut self) {
-        self.cursor += 1;
-    }
-
-    fn position(&self) -> usize {
-        self.cursor
-    }
-
-    fn rewind(&mut self, position: usize) {
-        debug_assert!(position <= self.cursor, "rewind must move backwards");
-        self.cursor = position;
-    }
-}
-
-impl ShardableProcess for Replayer {
-    type Shard = ReplayShard;
-
-    fn take_shards(&mut self) -> Vec<ReplayShard> {
-        let streams = std::mem::take(&mut self.streams);
-        let cursors = std::mem::take(&mut self.cursors);
-        streams
-            .into_iter()
-            .zip(cursors)
-            .enumerate()
-            .map(|(pe, (stream, cursor))| ReplayShard { pe, stream, cursor })
-            .collect()
-    }
-
-    fn put_shards(&mut self, shards: Vec<ReplayShard>) {
-        debug_assert!(self.streams.is_empty(), "shards put back twice");
-        for shard in shards {
-            debug_assert_eq!(shard.pe, self.streams.len(), "shards out of PE order");
-            self.streams.push(shard.stream);
-            self.cursors.push(shard.cursor);
-        }
-        self.left = self.count_left();
     }
 }
 

@@ -1,7 +1,7 @@
 //! The memory-system abstraction the engine drives.
 
 use pim_bus::BusStats;
-use pim_cache::{AccessStats, LockStats, Outcome, PeShard, PimSystem, ProtocolError};
+use pim_cache::{AccessStats, LockStats, Outcome, PimSystem, ProtocolError};
 use pim_obs::Observer;
 use pim_trace::{Addr, AreaMap, MemOp, PeId, RefStats, Word};
 
@@ -73,114 +73,6 @@ pub trait MemorySystem {
     /// [`pim_ckpt::CkptError`] when the checkpoint disagrees with this
     /// system's shape or is corrupt.
     fn restore_ckpt(&mut self, r: &mut pim_ckpt::Reader<'_>) -> Result<(), pim_ckpt::CkptError>;
-}
-
-/// One PE's private slice of a sharded memory system: its cache and lock
-/// directory plus shard-local statistics accumulators. Owned by a worker
-/// thread between epoch barriers, so it must be [`Send`].
-pub trait SystemShard: Send {
-    /// Speculatively executes `op` if it is provably local to this shard
-    /// (a resident hit, no bus transaction). Returns the value, or `None`
-    /// when the operation is global and must go through the shared system
-    /// at a barrier. `now` is the cycle the operation issues at, used to
-    /// stamp buffered observer events.
-    fn try_local(&mut self, op: MemOp, addr: Addr, data: Option<Word>, now: u64) -> Option<Word>;
-
-    /// Number of uncommitted speculative operations.
-    fn spec_len(&self) -> usize;
-
-    /// Rolls back speculative operations from index `len` on, restoring
-    /// the shard bit-exactly and dropping their statistics.
-    fn rollback_to(&mut self, len: usize);
-
-    /// Commits all outstanding speculative operations into the shard-local
-    /// accumulators.
-    fn commit_speculation(&mut self);
-
-    /// The base address of the block containing `addr` — the conflict
-    /// granularity between local speculation and global operations.
-    fn block_base(&self, addr: Addr) -> Addr;
-}
-
-impl SystemShard for PeShard {
-    fn try_local(&mut self, op: MemOp, addr: Addr, data: Option<Word>, now: u64) -> Option<Word> {
-        PeShard::try_local(self, op, addr, data, now)
-    }
-
-    fn spec_len(&self) -> usize {
-        PeShard::spec_len(self)
-    }
-
-    fn rollback_to(&mut self, len: usize) {
-        PeShard::rollback_to(self, len)
-    }
-
-    fn commit_speculation(&mut self) {
-        PeShard::commit_speculation(self)
-    }
-
-    fn block_base(&self, addr: Addr) -> Addr {
-        PeShard::block_base(self, addr)
-    }
-}
-
-/// A [`MemorySystem`] whose per-PE state can be split off into owned
-/// [`SystemShard`]s for the parallel engine. The remaining "core" (bus,
-/// shared memory, lock bookkeeping, global statistics) stays behind and is
-/// only touched by the coordinator at barriers.
-pub trait ShardedSystem: MemorySystem {
-    /// The owned per-PE shard type.
-    type Shard: SystemShard;
-
-    /// Moves the shards out (PE order). While taken, `access` must not be
-    /// called; return them with [`ShardedSystem::put_shards`] first.
-    fn take_shards(&mut self) -> Vec<Self::Shard>;
-
-    /// Returns shards previously taken, in the same PE order.
-    fn put_shards(&mut self, shards: Vec<Self::Shard>);
-
-    /// Arms speculative undo logging on every shard for a parallel run.
-    fn begin_sharded_run(&mut self);
-
-    /// Suspends undo logging while a committed global operation runs (its
-    /// effects must not be rolled back with later speculation).
-    fn pause_speculation(&mut self);
-
-    /// Re-arms undo logging after [`ShardedSystem::pause_speculation`].
-    fn resume_speculation(&mut self);
-
-    /// Commits outstanding speculation and folds every shard-local
-    /// accumulator into the system totals. After this, the usual
-    /// [`MemorySystem`] statistics accessors reflect the whole run.
-    fn fold_shard_stats(&mut self);
-}
-
-impl ShardedSystem for PimSystem {
-    type Shard = PeShard;
-
-    fn take_shards(&mut self) -> Vec<PeShard> {
-        PimSystem::take_shards(self)
-    }
-
-    fn put_shards(&mut self, shards: Vec<PeShard>) {
-        PimSystem::put_shards(self, shards)
-    }
-
-    fn begin_sharded_run(&mut self) {
-        PimSystem::begin_sharded_run(self)
-    }
-
-    fn pause_speculation(&mut self) {
-        PimSystem::pause_speculation(self)
-    }
-
-    fn resume_speculation(&mut self) {
-        PimSystem::resume_speculation(self)
-    }
-
-    fn fold_shard_stats(&mut self) {
-        PimSystem::fold_shard_stats(self)
-    }
 }
 
 // The per-reference methods forward with `#[inline]` so an engine

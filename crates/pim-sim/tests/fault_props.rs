@@ -1,20 +1,20 @@
 //! Fault-injection property tests: fuzzed fault plans over
 //! lock-disciplined traces must always recover, preserve coherence
-//! invariants, agree bit-for-bit across thread counts, and account
-//! every injected fault in both the engine counters and the
-//! observability layer. Plus directed tests for the deadlock detector
-//! and the livelock watchdog.
+//! invariants, agree bit-for-bit from run to run, and account every
+//! injected fault in both the engine counters and the observability
+//! layer. Plus directed tests for the deadlock detector and the
+//! livelock watchdog.
 
 use pim_cache::{PimSystem, SystemConfig};
 use pim_fault::{FaultConfig, FaultPlan, FaultStats};
 use pim_obs::SharedMetrics;
-use pim_sim::{Engine, ParallelEngine, Replayer, RunStats, SimError};
+use pim_sim::{Engine, Replayer, RunStats, SimError};
 use pim_trace::{Access, AreaMap, MemOp, PeId, StorageArea};
 use proptest::prelude::*;
 
 /// Builds a lock-disciplined trace (no hold-and-wait, every lock
-/// released), mirroring `parallel_props.rs`: replays always terminate,
-/// so any hang or invariant break is the fault machinery's doing.
+/// released): replays always terminate, so any hang or invariant break
+/// is the fault machinery's doing.
 fn disciplined_trace(pes: u32, items: Vec<(u32, u8, u64)>) -> Vec<Access> {
     let map = AreaMap::standard();
     let heap = map.base(StorageArea::Heap);
@@ -69,6 +69,17 @@ fn fingerprint(sys: &PimSystem) -> String {
     )
 }
 
+/// A fresh engine over a default-configured PIM system of `pes` PEs.
+fn engine(pes: u32) -> Engine<PimSystem> {
+    Engine::new(
+        PimSystem::new(SystemConfig {
+            pes,
+            ..SystemConfig::default()
+        }),
+        pes,
+    )
+}
+
 struct FaultyRun {
     stats: RunStats,
     fp: String,
@@ -79,47 +90,13 @@ struct FaultyRun {
 fn run_sequential(trace: &[Access], pes: u32, fc: &FaultConfig) -> FaultyRun {
     let shared = SharedMetrics::new();
     let mut replayer = Replayer::from_merged(trace, pes);
-    let mut engine = Engine::new(
-        PimSystem::new(SystemConfig {
-            pes,
-            ..SystemConfig::default()
-        }),
-        pes,
-    );
+    let mut engine = engine(pes);
     engine.set_observer(shared.observer());
     engine.set_fault_plan(FaultPlan::new(fc.clone()));
     let stats = engine
         .run(&mut replayer, 10_000_000)
         .expect("faulty replay must still complete");
-    engine
-        .system()
-        .check_coherence_invariants()
-        .expect("coherence invariants must survive fault injection");
-    FaultyRun {
-        stats,
-        fp: fingerprint(engine.system()),
-        faults: engine.fault_stats().clone(),
-        metrics: shared.take(),
-    }
-}
-
-fn run_parallel(trace: &[Access], pes: u32, threads: usize, fc: &FaultConfig) -> FaultyRun {
-    let shared = SharedMetrics::new();
-    let mut replayer = Replayer::from_merged(trace, pes);
-    let mut engine = ParallelEngine::new(
-        PimSystem::new(SystemConfig {
-            pes,
-            ..SystemConfig::default()
-        }),
-        pes,
-    );
-    engine.set_threads(threads);
-    engine.set_observer(shared.observer());
-    engine.set_fault_plan(FaultPlan::new(fc.clone()));
-    let stats = engine
-        .run(&mut replayer, 10_000_000)
-        .expect("faulty replay must still complete");
-    assert_eq!(replayer.remaining(), 0, "parallel run left stream residue");
+    assert_eq!(replayer.remaining(), 0, "run left stream residue");
     engine
         .system()
         .check_coherence_invariants()
@@ -162,7 +139,7 @@ proptest! {
 
     /// ≥100 fuzzed fault plans: random seed and rate, random trace.
     /// The run must finish, recover every fault, keep the coherence
-    /// invariants, and stay bit-identical at every thread count.
+    /// invariants, and stay bit-identical from run to run.
     #[test]
     fn fuzzed_fault_plans_always_recover(
         seed in 0u64..u64::MAX,
@@ -189,13 +166,11 @@ proptest! {
             prop_assert_eq!(&seq.stats, &clean.stats);
         }
 
-        for threads in [1usize, 2, 4] {
-            let par = run_parallel(&trace, pes, threads, &fc);
-            prop_assert_eq!(&par.stats, &seq.stats, "stats diverged at {} threads", threads);
-            prop_assert_eq!(&par.fp, &seq.fp, "system state diverged at {} threads", threads);
-            prop_assert_eq!(&par.faults, &seq.faults, "fault schedule diverged at {} threads", threads);
-            assert_accounted(&par);
-        }
+        let again = run_sequential(&trace, pes, &fc);
+        prop_assert_eq!(&again.stats, &seq.stats, "stats diverged between runs");
+        prop_assert_eq!(&again.fp, &seq.fp, "system state diverged between runs");
+        prop_assert_eq!(&again.faults, &seq.faults, "fault schedule diverged between runs");
+        assert_accounted(&again);
     }
 
     /// The same plan replayed twice is identical — fault schedules are
@@ -217,8 +192,9 @@ proptest! {
 }
 
 /// Two PEs that each lock a word and then request the other's word
-/// form a wait-for cycle; both engines must report it as a structured
-/// deadlock naming the participants instead of spinning forever.
+/// form a wait-for cycle; the engine must report it as a structured
+/// deadlock naming the participants instead of spinning forever, the
+/// same way on every run.
 #[test]
 fn cross_locks_are_reported_as_deadlock() {
     let map = AreaMap::standard();
@@ -231,45 +207,23 @@ fn cross_locks_are_reported_as_deadlock() {
         Access::new(PeId(1), MemOp::LockRead, a, StorageArea::Heap),
     ];
     let pes = 2;
+    let deadlock = || {
+        let mut replayer = Replayer::from_merged(&trace, pes);
+        engine(pes)
+            .run(&mut replayer, 10_000_000)
+            .expect_err("cross-locks must deadlock")
+    };
 
-    let mut replayer = Replayer::from_merged(&trace, pes);
-    let mut engine = Engine::new(
-        PimSystem::new(SystemConfig {
-            pes,
-            ..SystemConfig::default()
-        }),
-        pes,
-    );
-    let err = engine
-        .run(&mut replayer, 10_000_000)
-        .expect_err("cross-locks must deadlock");
+    let err = deadlock();
     let SimError::Deadlock { cycle, .. } = &err else {
         panic!("expected Deadlock, got {err:?}");
     };
     assert_eq!(cycle.as_slice(), &[PeId(0), PeId(1)]);
-
-    for threads in [1usize, 2] {
-        let mut replayer = Replayer::from_merged(&trace, pes);
-        let mut engine = ParallelEngine::new(
-            PimSystem::new(SystemConfig {
-                pes,
-                ..SystemConfig::default()
-            }),
-            pes,
-        );
-        engine.set_threads(threads);
-        let err = engine
-            .run(&mut replayer, 10_000_000)
-            .expect_err("cross-locks must deadlock in the parallel engine");
-        let SimError::Deadlock { cycle, .. } = &err else {
-            panic!("expected Deadlock at {threads} threads, got {err:?}");
-        };
-        assert_eq!(
-            cycle.as_slice(),
-            &[PeId(0), PeId(1)],
-            "at {threads} threads"
-        );
-    }
+    assert_eq!(
+        deadlock(),
+        err,
+        "a second run must report the same deadlock"
+    );
 }
 
 /// The watchdog bounds simulated time: a run that would take longer
@@ -283,29 +237,16 @@ fn watchdog_bounds_simulated_cycles() {
     let trace = disciplined_trace(4, items);
 
     let mut replayer = Replayer::from_merged(&trace, 4);
-    let mut engine = Engine::new(
-        PimSystem::new(SystemConfig {
-            pes: 4,
-            ..SystemConfig::default()
-        }),
-        4,
-    );
-    let stats = engine.run(&mut replayer, 10_000_000).expect("clean run");
+    let stats = engine(4).run(&mut replayer, 10_000_000).expect("clean run");
     let honest = stats.makespan;
 
     // A budget below the real makespan must trip, and must trip before
     // the clock runs far past the budget (one operation's worth).
     let budget = honest / 2;
     let mut replayer = Replayer::from_merged(&trace, 4);
-    let mut engine = Engine::new(
-        PimSystem::new(SystemConfig {
-            pes: 4,
-            ..SystemConfig::default()
-        }),
-        4,
-    );
-    engine.set_watchdog(budget);
-    let err = engine
+    let mut watched = engine(4);
+    watched.set_watchdog(budget);
+    let err = watched
         .run(&mut replayer, 10_000_000)
         .expect_err("watchdog must fire");
     let SimError::WatchdogExpired {
@@ -320,62 +261,41 @@ fn watchdog_bounds_simulated_cycles() {
         "clock {clock} vs budget {budget}"
     );
 
-    // A generous budget never fires, with or without faults.
-    for engine_threads in [None, Some(1), Some(4)] {
+    // A generous budget never fires, with or without faults, and the
+    // faulted run is the same on every run.
+    let generous = || {
         let mut replayer = Replayer::from_merged(&trace, 4);
-        let run = match engine_threads {
-            None => {
-                let mut engine = Engine::new(
-                    PimSystem::new(SystemConfig {
-                        pes: 4,
-                        ..SystemConfig::default()
-                    }),
-                    4,
-                );
-                engine.set_watchdog(honest * 4);
-                engine.set_fault_plan(FaultPlan::new(FaultConfig::new(7, 10_000)));
-                engine.run(&mut replayer, 10_000_000)
-            }
-            Some(t) => {
-                let mut engine = ParallelEngine::new(
-                    PimSystem::new(SystemConfig {
-                        pes: 4,
-                        ..SystemConfig::default()
-                    }),
-                    4,
-                );
-                engine.set_threads(t);
-                engine.set_watchdog(honest * 4);
-                engine.set_fault_plan(FaultPlan::new(FaultConfig::new(7, 10_000)));
-                engine.run(&mut replayer, 10_000_000)
-            }
-        };
-        assert!(run.expect("generous watchdog never fires").finished);
-    }
+        let mut watched = engine(4);
+        watched.set_watchdog(honest * 4);
+        watched.set_fault_plan(FaultPlan::new(FaultConfig::new(7, 10_000)));
+        watched
+            .run(&mut replayer, 10_000_000)
+            .expect("generous watchdog never fires")
+    };
+    let run = generous();
+    assert!(run.finished);
+    assert_eq!(generous(), run, "a second faulted run must be identical");
 }
 
-/// The parallel engine's watchdog fires too (same structured error).
+/// A tight watchdog fires with the same structured error on every run.
 #[test]
-fn parallel_watchdog_fires() {
+fn watchdog_fires_identically_on_every_run() {
     let items = (0..400)
         .map(|i| (i % 4, (i % 13) as u8, i as u64))
         .collect();
     let trace = disciplined_trace(4, items);
-    let mut replayer = Replayer::from_merged(&trace, 4);
-    let mut engine = ParallelEngine::new(
-        PimSystem::new(SystemConfig {
-            pes: 4,
-            ..SystemConfig::default()
-        }),
-        4,
-    );
-    engine.set_threads(2);
-    engine.set_watchdog(10);
-    let err = engine
-        .run(&mut replayer, 10_000_000)
-        .expect_err("watchdog must fire");
+    let fire = || {
+        let mut replayer = Replayer::from_merged(&trace, 4);
+        let mut watched = engine(4);
+        watched.set_watchdog(10);
+        watched
+            .run(&mut replayer, 10_000_000)
+            .expect_err("watchdog must fire")
+    };
+    let err = fire();
     assert!(
         matches!(err, SimError::WatchdogExpired { budget: 10, .. }),
         "{err:?}"
     );
+    assert_eq!(fire(), err, "a second run must fire the same way");
 }

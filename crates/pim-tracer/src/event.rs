@@ -5,9 +5,9 @@
 //! derived **total order** — `(ts, pe, kind)` — and the ring keeps the
 //! `cap` *smallest* events under that order rather than the most
 //! recently arrived ones. This makes the retained set a pure function
-//! of the emitted multiset: the parallel engine may deliver events in a
-//! different arrival order than the sequential engine, but both retain
-//! (and later export) byte-identical traces.
+//! of the emitted multiset, whatever order the events arrive in, so
+//! runs that emit the same events retain (and later export)
+//! byte-identical traces.
 //!
 //! Overflow is never silent: [`TraceBuffer::emitted`] counts every event
 //! offered and [`TraceBuffer::dropped`] is always `emitted - recorded`.

@@ -13,8 +13,8 @@
 //! 1. **Determinism.** A trace is a pure function of the simulated
 //!    run: the ring retains the smallest events under a total order
 //!    (never "the most recent", which depends on arrival order) and
-//!    the exporter sorts before writing, so `--threads 1` and
-//!    `--threads 8` produce byte-identical files.
+//!    the exporter sorts before writing, so the file does not depend
+//!    on the order in which events arrive.
 //! 2. **Bounded and honest.** The ring never reallocates in steady
 //!    state and never drops silently: `dropped = emitted - recorded`
 //!    is carried in the file's `otherData`.

@@ -5,11 +5,6 @@
 //!
 //! options:
 //!   --pes N           processing elements (default 8, 1 to 64)
-//!   --threads N       accepted for symmetry with tracesim; the KL1
-//!                     abstract machine steps its PEs through shared
-//!                     state, so the simulation always runs on the
-//!                     sequential engine (results are identical at any
-//!                     thread count by the engines' determinism contract)
 //!   --flat            skip the cache simulation (functional run)
 //!   --illinois        use the Illinois baseline protocol
 //!   --no-opt          disable the DW/ER/RP/RI optimized commands
@@ -50,7 +45,7 @@
 //!                     beyond the functional heap)
 //!   --resume FILE     restore a `--checkpoint` snapshot and continue.
 //!                     Needs the identical program source and flags
-//!                     (except --threads, --checkpoint, --resume);
+//!                     (except --checkpoint and --resume);
 //!                     results and output files match an uninterrupted
 //!                     run byte for byte (modulo the profile's
 //!                     `checkpoint` block)
@@ -71,6 +66,10 @@
 //! The goal defaults to `main/1` called as `main(X)`; pass a name to call
 //! `<name>(X)` instead. The binding of X is printed as the result.
 //! ```
+//!
+//! The simulation runs on one sequential engine. The `--threads` flag of
+//! earlier builds is refused (exit 2): to use more cores, run independent
+//! cells side by side with `repro --threads N` or `sweeprun --threads N`.
 
 use kl1_machine::{Cluster, ClusterConfig};
 use pim_cache::{OptMask, PimSystem, SystemConfig, MAX_PES};
@@ -111,7 +110,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: kl1run [--pes N] [--threads N] [--flat] [--illinois] [--no-opt] \
+        "usage: kl1run [--pes N] [--flat] [--illinois] [--no-opt] \
          [--gc WORDS] [--indexed] [--stats] [--code] [--perf] [--faults SPEC] \
          [--timeout SECS] [--profile FILE] [--trace FILE[:cap=N]] \
          [--checkpoint FILE[:every=N]] [--resume FILE] \
@@ -162,11 +161,12 @@ fn parse_args() -> Options {
         match a.as_str() {
             "--pes" => opts.pes = numeric_flag("--pes", args.next()),
             "--threads" => {
-                let threads: usize = numeric_flag("--threads", args.next());
-                if threads == 0 {
-                    eprintln!("kl1run: --threads must be at least 1");
-                    std::process::exit(2);
-                }
+                eprintln!(
+                    "kl1run: --threads is not supported: the simulation runs on one \
+                     sequential engine; to use more cores, run independent cells with \
+                     `repro --threads N` or `sweeprun --threads N`"
+                );
+                std::process::exit(2);
             }
             "--flat" => opts.flat = true,
             "--illinois" => opts.illinois = true,
@@ -447,10 +447,9 @@ fn main() {
             std::process::exit(1);
         })
     });
-    // Pins the run configuration (flags + program source, minus
-    // --threads and the checkpoint flags) into every snapshot, so a
-    // resume under different conditions is refused instead of silently
-    // diverging. The program text itself is digested again by the
+    // Pins the run configuration (flags + program source, minus the
+    // checkpoint flags) into every snapshot, so a resume under different
+    // conditions is refused instead of silently diverging. The program text itself is digested again by the
     // machine's own checkpoint hook.
     let config_digest = {
         let mut bytes = format!(

@@ -15,14 +15,10 @@
 //!   --bus-width W    bus width in words (default 1)
 //!   --gen NAME       ignore the file; generate a built-in synthetic trace
 //!                    (producer-consumer | heap-mix | lock-churn | aurora)
-//!   --threads N      worker threads for the PIM replay (default: available
-//!                    parallelism; 1 selects the sequential engine). Results
-//!                    are bit-identical at every thread count. The Illinois
-//!                    baseline always replays sequentially.
 //!   --faults SPEC    inject deterministic faults, e.g. `seed=7,rate=0.01`
 //!                    (also `rate_ppm=N`, `retries=N`). Every injected
 //!                    fault is recovered; the same seed produces the same
-//!                    fault schedule at every thread count.
+//!                    fault schedule on every run.
 //!   --timeout SECS   wall-clock deadline on the replay: a pathological
 //!                    trace stops with a structured wall-clock-expired
 //!                    diagnostic (simulated cycle and step count reached)
@@ -30,8 +26,8 @@
 //!                    --checkpoint, a final snapshot is drained first so
 //!                    the run can be resumed with a larger budget.
 //!   --perf           profile the simulator itself: per-phase wall-time
-//!                    breakdown (trace parse, engine run, epoch barrier,
-//!                    coordinator replay, report write) on stderr, plus
+//!                    breakdown (trace parse, engine run, checkpoint,
+//!                    report write) on stderr, plus
 //!                    a `host_perf` block (host/commit provenance and
 //!                    the same breakdown) in the --report JSON. Without
 //!                    --perf the report bytes are unchanged. Build with
@@ -47,21 +43,22 @@
 //!                    Chrome trace_event JSON, loadable in Perfetto and
 //!                    analyzable with `pimtrace`. The ring keeps at most
 //!                    N events (default 2^20); drops are counted in the
-//!                    file, never silent. Byte-identical at every
-//!                    --threads setting.
+//!                    file, never silent.
 //!   --checkpoint FILE[:every=N]
 //!                    write crash-safe `pim-ckpt/v1` snapshots of the
-//!                    whole simulator state to FILE: every N committed
-//!                    steps when `:every=N` is given, and always on
+//!                    whole simulator state to FILE: every N engine
+//!                    steps (idle polls of finished PEs included) when
+//!                    `:every=N` is given, and always on
 //!                    SIGINT (the run drains to a final snapshot and
 //!                    exits 130). Snapshot writes are atomic; a crash
 //!                    mid-write leaves the previous snapshot intact.
 //!   --resume FILE    restore a `--checkpoint` snapshot and continue.
-//!                    The remaining flags (except --threads, --checkpoint
-//!                    and --resume) and the trace must match the
+//!                    The remaining flags (except --checkpoint and
+//!                    --resume) and the trace must match the
 //!                    checkpointed run; the resumed run's report and
 //!                    trace file are byte-identical to an uninterrupted
 //!                    run's (modulo the report's `checkpoint` block).
+//!                    Snapshots written by earlier builds still resume.
 //!   --status FILE[:every=SECS]
 //!                    write a crash-safe `pim-status/v1` live snapshot
 //!                    (watch with `sweepwatch FILE`), updated at engine
@@ -82,6 +79,10 @@
 //!                    (see pim_ckpt::vfs).
 //! ```
 //!
+//! Every replay runs on one sequential engine. The `--threads` flag of
+//! earlier builds is refused (exit 2): to use more cores, run independent
+//! cells side by side with `repro --threads N` or `sweeprun --threads N`.
+//!
 //! Trace lines are `PE OP ADDR AREA`, e.g. `0 DW 0x11000000 goal` — see
 //! `pim_trace::textio`. Use `--gen` to try the tool without a file:
 //!
@@ -91,12 +92,15 @@
 
 use pim_bus::BusTiming;
 use pim_cache::{CacheGeometry, OptMask, PimSystem, SystemConfig, MAX_PES};
+use pim_ckpt::{CkptError, Reader, Writer};
 use pim_fault::{FaultConfig, FaultPlan, FaultStats};
 use pim_obs::{Fanout, Json, Observer, SharedMetrics};
 use pim_repro::report;
-use pim_sim::{Engine, IllinoisSystem, MemorySystem, ParallelEngine, Replayer, RunStats};
+use pim_sim::{Engine, IllinoisSystem, MemorySystem, Replayer, RunStats};
 use pim_trace::{Access, StorageArea};
 use pim_tracer::SharedTracer;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 // With `--features perf-alloc`, count allocations so `--perf` breakdowns
 // carry per-phase allocation columns (`"alloc_counting": true`).
@@ -104,9 +108,19 @@ use pim_tracer::SharedTracer;
 #[global_allocator]
 static ALLOC: pim_perf::CountingAlloc = pim_perf::CountingAlloc;
 
+/// The checkpoint section holding the engine (and its memory system) in
+/// the layout [`Engine::save_ckpt`] writes.
+const ENGINE_SECTION: &str = "engine/v2";
+
+/// The engine section of snapshots written by earlier builds. Its layout
+/// is that of the engine that wrote it: the sequential one for
+/// `--illinois`, a since-removed parallel engine for the PIM protocol
+/// (see [`restore_parallel_layout`]).
+const LEGACY_ENGINE_SECTION: &str = "engine";
+
 fn usage() -> ! {
     eprintln!(
-        "usage: tracesim [--pes N] [--threads N] [--illinois] [--no-opt] \
+        "usage: tracesim [--pes N] [--illinois] [--no-opt] \
          [--block W] [--capacity W] [--ways N] [--bus-width W] \
          [--faults SPEC] [--timeout SECS] [--perf] [--report FILE] \
          [--trace FILE[:cap=N]] [--checkpoint FILE[:every=N]] [--resume FILE] \
@@ -129,8 +143,285 @@ fn check_run(run: Result<RunStats, pim_sim::SimError>) -> RunStats {
     }
 }
 
+/// Run-wide state shared by the engine loop and checkpointing: what a
+/// snapshot pins and carries besides the engine, when the loop must
+/// stop, and the provenance for the report's `checkpoint` block.
+struct Run<'a> {
+    config_digest: u64,
+    illinois: bool,
+    shared: Option<&'a SharedMetrics>,
+    tracer: Option<&'a SharedTracer>,
+    checkpoint: Option<&'a (String, Option<u64>)>,
+    resume_payload: Option<&'a [u8]>,
+    sigint: Option<&'static AtomicBool>,
+    deadline: Option<Instant>,
+    timeout_secs: Option<u64>,
+    telemetry: Option<&'a pim_telemetry::RunStatus>,
+    snapshots_written: u64,
+    resumed_from_cycle: Option<u64>,
+}
+
+/// Builds the engine over a system made by `new`, restores `--resume`
+/// state, and replays to the end. Returns the run's stats, its fault
+/// counters and the memory system for the outputs.
+fn replay<S: MemorySystem + 'static>(
+    run: &mut Run<'_>,
+    new: fn(SystemConfig) -> S,
+    config: &SystemConfig,
+    replayer: &mut Replayer,
+    observer: &dyn Fn() -> Option<Box<dyn Observer>>,
+    faults: Option<&FaultConfig>,
+) -> (RunStats, FaultStats, Box<dyn MemorySystem>) {
+    let mut system = new(config.clone());
+    if let Some(obs) = observer() {
+        system.set_observer(obs);
+    }
+    let mut engine = Engine::new(system, config.pes);
+    if let Some(obs) = observer() {
+        engine.set_observer(obs);
+    }
+    if let Some(fc) = faults {
+        engine.set_fault_plan(FaultPlan::new(fc.clone()));
+    }
+    resume_into(run, &mut engine, replayer, || new(config.clone()));
+    let stats = drive(run, &mut engine, replayer);
+    let fstats = engine.fault_stats().clone();
+    (stats, fstats, Box::new(engine.into_system()))
+}
+
+/// Runs the engine to completion. With --checkpoint, --timeout or live
+/// telemetry, runs in chunks: snapshots every `every` engine steps
+/// (when given), polls SIGINT and the wall-clock deadline between
+/// chunks, and on interrupt drains a final snapshot and exits 130
+/// (timeout: drains, then reports a structured wall-clock-expired error
+/// at exit 1). Chunking is invisible in the results: the engine composes
+/// across `run` calls bit-identically.
+fn drive<S: MemorySystem>(
+    run: &mut Run<'_>,
+    engine: &mut Engine<S>,
+    replayer: &mut Replayer,
+) -> RunStats {
+    if run.checkpoint.is_none() && run.deadline.is_none() && run.telemetry.is_none() {
+        return check_run(engine.run(replayer, u64::MAX));
+    }
+    let every = run.checkpoint.and_then(|(_, e)| *e);
+    let chunk = every.unwrap_or(1 << 16);
+    loop {
+        let stats = check_run(engine.run(replayer, chunk));
+        if let Some(t) = run.telemetry {
+            t.engine_chunk(stats.steps);
+        }
+        if stats.finished {
+            return stats;
+        }
+        let interrupted = run.sigint.is_some_and(|f| f.load(Ordering::SeqCst));
+        let expired = run.deadline.is_some_and(|d| Instant::now() >= d);
+        if let Some((path, _)) = run.checkpoint {
+            if interrupted || expired || every.is_some() {
+                snapshot(run, engine, replayer, path, stats.makespan);
+            }
+            if interrupted {
+                eprintln!(
+                    "tracesim: interrupted: state drained to `{path}` at cycle {} \
+                     (continue with --resume {path})",
+                    stats.makespan
+                );
+                std::process::exit(130);
+            }
+            if expired {
+                eprintln!(
+                    "tracesim: timeout: state drained to `{path}` at cycle {} \
+                     (continue with --resume {path})",
+                    stats.makespan
+                );
+            }
+        } else if interrupted {
+            // No checkpoint configured: SIGINT falls back to the default
+            // die-on-interrupt behaviour.
+            std::process::exit(130);
+        }
+        if expired {
+            check_run(Err(pim_sim::SimError::WallClockExpired {
+                budget_secs: run.timeout_secs.unwrap_or(0),
+                cycle: stats.makespan,
+                steps: stats.steps,
+            }));
+        }
+    }
+}
+
+/// Serializes one full snapshot (engine and system, replay cursors,
+/// metrics, tracer ring) and writes it atomically to `path`.
+fn snapshot<S: MemorySystem>(
+    run: &mut Run<'_>,
+    engine: &Engine<S>,
+    replayer: &Replayer,
+    path: &str,
+    cycle: u64,
+) {
+    let _perf = pim_perf::span(pim_perf::phase::CHECKPOINT);
+    run.snapshots_written += 1;
+    let mut w = Writer::new();
+    w.section("meta", |w| {
+        w.put_str("tracesim");
+        w.put_u64(run.config_digest);
+        w.put_u64(cycle);
+        w.put_u64(run.snapshots_written);
+    });
+    w.section(ENGINE_SECTION, |w| engine.save_ckpt(w));
+    w.section("process", |w| replayer.save_ckpt(w));
+    w.section("obs", |w| match run.shared {
+        Some(s) => {
+            w.put_bool(true);
+            s.save_ckpt(w);
+        }
+        None => w.put_bool(false),
+    });
+    w.section("tracer", |w| match run.tracer {
+        Some(t) => {
+            w.put_bool(true);
+            t.save_ckpt(w);
+        }
+        None => w.put_bool(false),
+    });
+    if let Err(e) = pim_ckpt::save_to_path(std::path::Path::new(path), w) {
+        eprintln!("tracesim: --checkpoint: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Restores `--resume` state into the freshly built engine and replayer;
+/// a no-op without `--resume`. `scratch` builds a second system of the
+/// run's configuration, needed only to convert an earlier build's
+/// parallel-engine layout. Every refusal names the reason and exits 1.
+fn resume_into<S: MemorySystem>(
+    run: &mut Run<'_>,
+    engine: &mut Engine<S>,
+    replayer: &mut Replayer,
+    scratch: impl FnOnce() -> S,
+) {
+    let Some(payload) = run.resume_payload else {
+        return;
+    };
+    let refused = |e: CkptError| -> ! {
+        eprintln!("tracesim: --resume: refused checkpoint: {e}");
+        std::process::exit(1)
+    };
+    let mut r = Reader::new(payload);
+    let (cycle, _snaps) = r
+        .section("meta", |r| {
+            let tool = r.get_str()?.to_string();
+            if tool != "tracesim" {
+                return Err(CkptError::Mismatch {
+                    detail: format!("checkpoint was written by `{tool}`, not tracesim"),
+                });
+            }
+            let digest = r.get_u64()?;
+            if digest != run.config_digest {
+                return Err(CkptError::Mismatch {
+                    detail: "run configuration (flags or input trace) differs \
+                             from the checkpointed run"
+                        .into(),
+                });
+            }
+            Ok((r.get_u64()?, r.get_u64()?))
+        })
+        .unwrap_or_else(|e| refused(e));
+    let restored = match r.peek_section() {
+        // Illinois replays always ran on the sequential engine.
+        Ok(LEGACY_ENGINE_SECTION) if run.illinois => {
+            r.section(LEGACY_ENGINE_SECTION, |r| engine.restore_ckpt(r))
+        }
+        Ok(LEGACY_ENGINE_SECTION) => r.section(LEGACY_ENGINE_SECTION, |r| {
+            restore_parallel_layout(r, engine, scratch())
+        }),
+        _ => r.section(ENGINE_SECTION, |r| engine.restore_ckpt(r)),
+    };
+    restored.unwrap_or_else(|e| refused(e));
+    r.section("process", |r| replayer.restore_ckpt(r))
+        .unwrap_or_else(|e| refused(e));
+    r.section("obs", |r| match (run.shared, r.get_bool()?) {
+        (Some(s), true) => s.restore_ckpt(r),
+        (None, false) => Ok(()),
+        _ => Err(CkptError::Mismatch {
+            detail: "--report presence differs from the checkpointed run".into(),
+        }),
+    })
+    .unwrap_or_else(|e| refused(e));
+    r.section("tracer", |r| match (run.tracer, r.get_bool()?) {
+        (Some(t), true) => t.restore_ckpt(r),
+        (None, false) => Ok(()),
+        _ => Err(CkptError::Mismatch {
+            detail: "--trace presence differs from the checkpointed run".into(),
+        }),
+    })
+    .unwrap_or_else(|e| refused(e));
+    r.expect_end().unwrap_or_else(|e| refused(e));
+    run.resumed_from_cycle = Some(cycle);
+}
+
+/// Restores the engine layout that earlier builds wrote for PIM replays,
+/// which ran on a parallel engine: the system, then PE clocks, bus clock,
+/// idle-poll cycles, cycle accounts and fault counters, then for each PE
+/// the holder of the refused lock it is parked on and the issue position
+/// of its last operation. Re-encodes it in the [`Engine::save_ckpt`]
+/// layout and restores that: a parked PE is a blocked one waiting on the
+/// same holder, and the last-issue positions are dropped (the parallel
+/// engine kept them only to replay idle polls, which the sequential
+/// engine interleaves as it goes). `scratch` decodes the system and
+/// writes it back unchanged.
+fn restore_parallel_layout<S: MemorySystem>(
+    r: &mut Reader<'_>,
+    engine: &mut Engine<S>,
+    mut scratch: S,
+) -> Result<(), CkptError> {
+    scratch.restore_ckpt(r)?;
+    let clocks = r.get_u64s()?;
+    let bus_free = r.get_u64()?;
+    let idle_poll_cycles = r.get_u64()?;
+    let mut accounts = Vec::with_capacity(clocks.len() * 4);
+    for _ in 0..clocks.len() * 4 {
+        accounts.push(r.get_u64()?);
+    }
+    let mut faults = FaultStats::new();
+    faults.restore_ckpt(r)?;
+    let pes = r.get_len()?;
+    let mut parked = Vec::with_capacity(pes);
+    for _ in 0..pes {
+        parked.push(r.get_opt_u64()?);
+    }
+    for _ in 0..pes {
+        if r.get_bool()? {
+            r.get_u64()?;
+            r.get_u32()?;
+        }
+    }
+
+    let mut w = Writer::new();
+    scratch.save_ckpt(&mut w);
+    w.put_u64s(&clocks);
+    w.put_u64(bus_free);
+    w.put_len(pes);
+    for holder in &parked {
+        w.put_bool(holder.is_some());
+    }
+    for &holder in &parked {
+        w.put_opt_u64(holder);
+    }
+    w.put_u64(idle_poll_cycles);
+    for v in accounts {
+        w.put_u64(v);
+    }
+    faults.save_ckpt(&mut w);
+    // No recorded trace: tracesim never records one.
+    w.put_bool(false);
+    let mut converted = Reader::new(w.payload());
+    engine.restore_ckpt(&mut converted)?;
+    converted.expect_end()
+}
+
 fn main() {
-    let wall_start = std::time::Instant::now();
+    let wall_start = Instant::now();
     let mut pes: Option<u32> = None;
     let mut illinois = false;
     let mut perf = false;
@@ -139,7 +430,6 @@ fn main() {
     let mut capacity = 4096u64;
     let mut ways = 4u64;
     let mut bus_width = 1u64;
-    let mut threads: Option<usize> = None;
     let mut generator: Option<String> = None;
     let mut report_path: Option<String> = None;
     let mut trace_spec: Option<String> = None;
@@ -180,7 +470,14 @@ fn main() {
             "--capacity" => capacity = next_u64("capacity"),
             "--ways" => ways = next_u64("ways"),
             "--bus-width" => bus_width = next_u64("bus-width"),
-            "--threads" => threads = Some(next_u64("threads") as usize),
+            "--threads" => {
+                eprintln!(
+                    "tracesim: --threads is not supported: a replay runs on one sequential \
+                     engine; to use more cores, run independent cells with \
+                     `repro --threads N` or `sweeprun --threads N`"
+                );
+                std::process::exit(2);
+            }
             "--timeout" => timeout_secs = Some(next_u64("timeout")),
             "--gen" => generator = Some(args.next().unwrap_or_else(|| usage())),
             "--faults" => {
@@ -273,14 +570,6 @@ fn main() {
     if perf {
         pim_perf::enable();
     }
-    let threads = match threads {
-        Some(0) => {
-            eprintln!("tracesim: --threads must be at least 1");
-            std::process::exit(2);
-        }
-        Some(n) => n,
-        None => std::thread::available_parallelism().map_or(1, usize::from),
-    };
 
     // Validate checkpoint plumbing before the (possibly long) run: a bad
     // --checkpoint destination is a flag error (exit 2); a missing or
@@ -343,7 +632,7 @@ fn main() {
     let telemetry: Option<pim_telemetry::RunStatus> =
         (status_spec.is_some() || metrics_path.is_some()).then(|| {
             let t = pim_telemetry::RunStatus::new("tracesim");
-            t.set_workers(if illinois { 1 } else { threads as u64 });
+            t.set_workers(1);
             t.register_cell(&input_label);
             if let Some(spec) = &status_spec {
                 let parsed = pim_ckpt::spec::parse_file_spec("status", spec, &["every"])
@@ -409,9 +698,9 @@ fn main() {
         ..SystemConfig::default()
     };
 
-    // Pins the run configuration (flags + input trace, minus --threads
-    // and the checkpoint flags themselves) into every snapshot, so a
-    // resume under different conditions is refused instead of silently
+    // Pins the run configuration (flags + input trace, minus the
+    // checkpoint flags themselves) into every snapshot, so a resume
+    // under different conditions is refused instead of silently
     // diverging.
     let config_digest = {
         let mut bytes = Vec::with_capacity(trace.len() * 24 + 128);
@@ -436,11 +725,6 @@ fn main() {
         }
         pim_ckpt::fnv1a64(&bytes)
     };
-    // Checkpoint provenance for the report's `checkpoint` block. Cells,
-    // because the writer closures below capture them before the run
-    // mutates them.
-    let resumed_from_cycle: std::cell::Cell<Option<u64>> = std::cell::Cell::new(None);
-    let snapshots_written: std::cell::Cell<u64> = std::cell::Cell::new(0);
     let sigint = checkpoint.as_ref().map(|_| pim_ckpt::install_sigint_flag());
 
     let shared = report_path.as_ref().map(|path| {
@@ -483,11 +767,51 @@ fn main() {
         }
     };
 
+    let mut run = Run {
+        config_digest,
+        illinois,
+        shared: shared.as_ref(),
+        tracer: traced.as_ref().map(|(_, t)| t),
+        checkpoint: checkpoint.as_ref(),
+        resume_payload: resume_payload.as_deref(),
+        sigint,
+        // Wall-clock deadline for --timeout: armed when the engine starts
+        // driving, checked between run chunks.
+        deadline: timeout_secs.map(|secs| Instant::now() + std::time::Duration::from_secs(secs)),
+        timeout_secs,
+        telemetry: telemetry.as_ref(),
+        snapshots_written: 0,
+        resumed_from_cycle: None,
+    };
+    let mut replayer = Replayer::from_merged(&trace, pes);
+    if let Some(t) = &telemetry {
+        t.cell_running(&input_label);
+    }
+    let (label, (stats, fstats, system)) = if illinois {
+        let out = replay(
+            &mut run,
+            IllinoisSystem::new,
+            &config,
+            &mut replayer,
+            &make_observer,
+            faults.as_ref(),
+        );
+        ("Illinois", out)
+    } else {
+        let out = replay(
+            &mut run,
+            PimSystem::new,
+            &config,
+            &mut replayer,
+            &make_observer,
+            faults.as_ref(),
+        );
+        ("PIM", out)
+    };
+    let makespan = stats.makespan;
+
     // Exports and writes the trace file; a no-op without `--trace`.
-    let write_trace = |makespan: u64, pes: u32| {
-        let Some((path, tracer)) = &traced else {
-            return;
-        };
+    if let Some((path, tracer)) = &traced {
         let _perf = pim_perf::span(pim_perf::phase::REPORT_WRITE);
         let (emitted, recorded, dropped) =
             (tracer.emitted(), tracer.recorded() as u64, tracer.dropped());
@@ -515,17 +839,10 @@ fn main() {
                  ({dropped} dropped; raise with --trace {path}:cap=N)"
             );
         }
-    };
+    }
 
     // Builds and writes the JSON report; a no-op without `--report`.
-    let write_report = |label: &str,
-                        sys: &dyn MemorySystem,
-                        makespan: u64,
-                        pe_cycles: &[pim_obs::PeCycles],
-                        fstats: &FaultStats| {
-        let (Some(path), Some(s)) = (&report_path, &shared) else {
-            return;
-        };
+    if let (Some(path), Some(s)) = (&report_path, &shared) {
         let _perf = pim_perf::span(pim_perf::phase::REPORT_WRITE);
         let mut doc = report::envelope("tracesim");
         doc.push("protocol", Json::from(label));
@@ -541,7 +858,7 @@ fn main() {
         );
         doc.push(
             "checkpoint",
-            report::checkpoint_json(resumed_from_cycle.get(), snapshots_written.get()),
+            report::checkpoint_json(run.resumed_from_cycle, run.snapshots_written),
         );
         if let Some(fc) = &faults {
             doc.push(
@@ -558,8 +875,8 @@ fn main() {
             );
         }
         doc.push("accesses", Json::from(trace.len()));
-        doc.push("memory", report::memory_json(sys, makespan));
-        report::push_instrumentation(&mut doc, pe_cycles, &s.take());
+        doc.push("memory", report::memory_json(&*system, makespan));
+        report::push_instrumentation(&mut doc, &stats.pe_cycles, &s.take());
         if pim_perf::is_enabled() {
             doc.push(
                 "host_perf",
@@ -570,268 +887,14 @@ fn main() {
             eprintln!("tracesim: cannot write {path}: {e}");
             std::process::exit(1);
         }
-    };
-
-    // Serializes one full snapshot (engine + system, process cursors,
-    // metrics, tracer ring) and writes it atomically to the checkpoint
-    // path. A macro, not a function, because the two engine types share
-    // only inherent method names.
-    macro_rules! snapshot {
-        ($engine:expr, $replayer:expr, $path:expr, $cycle:expr) => {{
-            let _perf = pim_perf::span(pim_perf::phase::CHECKPOINT);
-            snapshots_written.set(snapshots_written.get() + 1);
-            let mut w = pim_ckpt::Writer::new();
-            w.section("meta", |w| {
-                w.put_str("tracesim");
-                w.put_u64(config_digest);
-                w.put_u64($cycle);
-                w.put_u64(snapshots_written.get());
-            });
-            w.section("engine", |w| $engine.save_ckpt(w));
-            w.section("process", |w| $replayer.save_ckpt(w));
-            w.section("obs", |w| match &shared {
-                Some(s) => {
-                    w.put_bool(true);
-                    s.save_ckpt(w);
-                }
-                None => w.put_bool(false),
-            });
-            w.section("tracer", |w| match &traced {
-                Some((_, t)) => {
-                    w.put_bool(true);
-                    t.save_ckpt(w);
-                }
-                None => w.put_bool(false),
-            });
-            if let Err(e) = pim_ckpt::save_to_path(std::path::Path::new($path), w) {
-                eprintln!("tracesim: --checkpoint: {e}");
-                std::process::exit(1);
-            }
-        }};
     }
-
-    // Restores `--resume` state into the freshly built engine and
-    // replayer. Every refusal names the reason and exits 1.
-    macro_rules! resume_into {
-        ($engine:expr, $replayer:expr) => {
-            if let Some(payload) = resume_payload.as_deref() {
-                let refused = |e: pim_ckpt::CkptError| -> ! {
-                    eprintln!("tracesim: --resume: refused checkpoint: {e}");
-                    std::process::exit(1)
-                };
-                let mut r = pim_ckpt::Reader::new(payload);
-                let (cycle, _snaps) = r
-                    .section("meta", |r| {
-                        let tool = r.get_str()?.to_string();
-                        if tool != "tracesim" {
-                            return Err(pim_ckpt::CkptError::Mismatch {
-                                detail: format!("checkpoint was written by `{tool}`, not tracesim"),
-                            });
-                        }
-                        let digest = r.get_u64()?;
-                        if digest != config_digest {
-                            return Err(pim_ckpt::CkptError::Mismatch {
-                                detail: "run configuration (flags or input trace) differs \
-                                         from the checkpointed run"
-                                    .into(),
-                            });
-                        }
-                        Ok((r.get_u64()?, r.get_u64()?))
-                    })
-                    .unwrap_or_else(|e| refused(e));
-                r.section("engine", |r| $engine.restore_ckpt(r))
-                    .unwrap_or_else(|e| refused(e));
-                r.section("process", |r| $replayer.restore_ckpt(r))
-                    .unwrap_or_else(|e| refused(e));
-                r.section("obs", |r| match (&shared, r.get_bool()?) {
-                    (Some(s), true) => s.restore_ckpt(r),
-                    (None, false) => Ok(()),
-                    _ => Err(pim_ckpt::CkptError::Mismatch {
-                        detail: "--report presence differs from the checkpointed run".into(),
-                    }),
-                })
-                .unwrap_or_else(|e| refused(e));
-                r.section("tracer", |r| match (&traced, r.get_bool()?) {
-                    (Some((_, t)), true) => t.restore_ckpt(r),
-                    (None, false) => Ok(()),
-                    _ => Err(pim_ckpt::CkptError::Mismatch {
-                        detail: "--trace presence differs from the checkpointed run".into(),
-                    }),
-                })
-                .unwrap_or_else(|e| refused(e));
-                r.expect_end().unwrap_or_else(|e| refused(e));
-                resumed_from_cycle.set(Some(cycle));
-            }
-        };
-    }
-
-    // Wall-clock deadline for --timeout: armed when the engine starts
-    // driving, checked between run chunks.
-    let deadline =
-        timeout_secs.map(|secs| std::time::Instant::now() + std::time::Duration::from_secs(secs));
-
-    // Runs the engine to completion. With --checkpoint or --timeout,
-    // runs in chunks: snapshots every `every` committed steps (when
-    // given), polls SIGINT and the wall-clock deadline between chunks,
-    // and on interrupt drains a final snapshot and exits 130 (timeout:
-    // drains, then reports a structured wall-clock-expired error at
-    // exit 1). Chunking is invisible in the results: both engines
-    // compose across run() calls bit-identically.
-    macro_rules! drive {
-        ($engine:expr, $replayer:expr) => {{
-            resume_into!($engine, $replayer);
-            if checkpoint.is_none() && deadline.is_none() && telemetry.is_none() {
-                check_run($engine.run(&mut $replayer, u64::MAX))
-            } else {
-                let every = checkpoint.as_ref().and_then(|(_, e)| *e);
-                let chunk = every.unwrap_or(1 << 16);
-                loop {
-                    let stats = check_run($engine.run(&mut $replayer, chunk));
-                    if let Some(t) = &telemetry {
-                        t.engine_chunk(stats.steps);
-                    }
-                    if stats.finished {
-                        break stats;
-                    }
-                    let interrupted =
-                        sigint.is_some_and(|f| f.load(std::sync::atomic::Ordering::SeqCst));
-                    let expired = deadline.is_some_and(|d| std::time::Instant::now() >= d);
-                    if let Some((path, _)) = &checkpoint {
-                        if interrupted || expired || every.is_some() {
-                            snapshot!($engine, $replayer, path, stats.makespan);
-                        }
-                        if interrupted {
-                            eprintln!(
-                                "tracesim: interrupted: state drained to `{path}` at cycle {} \
-                                 (continue with --resume {path})",
-                                stats.makespan
-                            );
-                            std::process::exit(130);
-                        }
-                        if expired {
-                            eprintln!(
-                                "tracesim: timeout: state drained to `{path}` at cycle {} \
-                                 (continue with --resume {path})",
-                                stats.makespan
-                            );
-                        }
-                    } else if interrupted {
-                        // No checkpoint configured: SIGINT falls back to
-                        // the default die-on-interrupt behaviour.
-                        std::process::exit(130);
-                    }
-                    if expired {
-                        check_run(Err(pim_sim::SimError::WallClockExpired {
-                            budget_secs: timeout_secs.unwrap_or(0),
-                            cycle: stats.makespan,
-                            steps: stats.steps,
-                        }));
-                    }
-                }
-            }
-        }};
-    }
-
-    let mut replayer = Replayer::from_merged(&trace, pes);
-    if let Some(t) = &telemetry {
-        t.cell_running(&input_label);
-    }
-    let (label, report, makespan) = if illinois {
-        let mut system = IllinoisSystem::new(config);
-        if let Some(obs) = make_observer() {
-            system.set_observer(obs);
-        }
-        let mut engine = Engine::new(system, pes);
-        if let Some(obs) = make_observer() {
-            engine.set_observer(obs);
-        }
-        if let Some(fc) = &faults {
-            engine.set_fault_plan(FaultPlan::new(fc.clone()));
-        }
-        let run = drive!(engine, replayer);
-        let fstats = engine.fault_stats().clone();
-        write_trace(run.makespan, pes);
-        write_report(
-            "Illinois",
-            engine.system(),
-            run.makespan,
-            &run.pe_cycles,
-            &fstats,
-        );
-        (
-            "Illinois",
-            summarize(engine.system(), run.makespan, trace.len(), &fstats),
-            run.makespan,
-        )
-    } else if threads == 1 && checkpoint.is_none() && resume_payload.is_none() {
-        // Checkpointed runs always go through the parallel engine (below,
-        // bit-identical at every thread count including 1), so a snapshot
-        // written at any --threads value resumes at any other.
-        let mut system = PimSystem::new(config);
-        if let Some(obs) = make_observer() {
-            system.set_observer(obs);
-        }
-        let mut engine = Engine::new(system, pes);
-        if let Some(obs) = make_observer() {
-            engine.set_observer(obs);
-        }
-        if let Some(fc) = &faults {
-            engine.set_fault_plan(FaultPlan::new(fc.clone()));
-        }
-        let run = drive!(engine, replayer);
-        let fstats = engine.fault_stats().clone();
-        write_trace(run.makespan, pes);
-        write_report(
-            "PIM",
-            engine.system(),
-            run.makespan,
-            &run.pe_cycles,
-            &fstats,
-        );
-        (
-            "PIM",
-            summarize(engine.system(), run.makespan, trace.len(), &fstats),
-            run.makespan,
-        )
-    } else {
-        // The parallel engine is bit-identical to the sequential one at
-        // every thread count (tests/cross_system_props.rs pins this), so
-        // the reports are byte-for-byte the same either way — including
-        // the fault schedule, which is keyed on simulated cycles only.
-        let mut system = PimSystem::new(config);
-        if let Some(obs) = make_observer() {
-            system.set_observer(obs);
-        }
-        let mut engine = ParallelEngine::new(system, pes);
-        engine.set_threads(threads);
-        if let Some(obs) = make_observer() {
-            engine.set_observer(obs);
-        }
-        if let Some(fc) = &faults {
-            engine.set_fault_plan(FaultPlan::new(fc.clone()));
-        }
-        let run = drive!(engine, replayer);
-        let fstats = engine.fault_stats().clone();
-        write_trace(run.makespan, pes);
-        write_report(
-            "PIM",
-            engine.system(),
-            run.makespan,
-            &run.pe_cycles,
-            &fstats,
-        );
-        (
-            "PIM",
-            summarize(engine.system(), run.makespan, trace.len(), &fstats),
-            run.makespan,
-        )
-    };
+    let summary = summarize(&*system, makespan, trace.len(), &fstats);
     if let Some(t) = &telemetry {
         t.cell_done(&input_label);
         t.finish();
     }
     println!("protocol: {label}  ({pes} PEs, {capacity}w {ways}-way, {block}-word blocks, {bus_width}-word bus)");
-    print!("{report}");
+    print!("{summary}");
     // The throughput summary goes to stderr so stdout (which the
     // determinism suites diff) stays byte-identical across hosts.
     eprintln!(

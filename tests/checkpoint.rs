@@ -1,9 +1,8 @@
 //! End-to-end tests of `--checkpoint`/`--resume`: resuming from a
 //! mid-run checkpoint must be invisible in every output (traces
 //! byte-identical, reports identical modulo the `checkpoint` provenance
-//! block), at every thread count and under fault injection — and a
-//! corrupted checkpoint must be refused with a named diagnostic, never
-//! a panic.
+//! block), on every resume and under fault injection — and a corrupted
+//! checkpoint must be refused with a named diagnostic, never a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -65,8 +64,8 @@ fn assert_refused(out: &Output, what: &str) {
 }
 
 #[test]
-fn tracesim_resume_is_invisible_at_every_thread_count() {
-    let dir = tmpdir("threads");
+fn tracesim_resume_is_invisible_from_run_to_run() {
+    let dir = tmpdir("resumes");
     let full_report = dir.join("full.json");
     let full_trace = dir.join("full.trace");
     let ck = dir.join("mid.ck");
@@ -92,12 +91,11 @@ fn tracesim_resume_is_invisible_at_every_thread_count() {
     assert_ok(&out);
     assert!(ck.exists(), "periodic checkpointing must leave a snapshot");
 
-    for threads in ["1", "2", "8"] {
-        let report = dir.join(format!("res{threads}.json"));
-        let trace = dir.join(format!("res{threads}.trace"));
+    for run in ["first", "second"] {
+        let report = dir.join(format!("res-{run}.json"));
+        let trace = dir.join(format!("res-{run}.trace"));
         let out = tracesim()
             .args(["--gen", "producer-consumer", "--pes", "2"])
-            .args(["--threads", threads])
             .args(["--resume", ck.to_str().unwrap()])
             .args(["--report", report.to_str().unwrap()])
             .args(["--trace", trace.to_str().unwrap()])
@@ -107,12 +105,12 @@ fn tracesim_resume_is_invisible_at_every_thread_count() {
         assert_eq!(
             std::fs::read(&full_trace).unwrap(),
             std::fs::read(&trace).unwrap(),
-            "trace must be byte-identical after resume at {threads} threads"
+            "trace must be byte-identical after the {run} resume"
         );
         assert_eq!(
             modulo_checkpoint(&read(&full_report)),
             modulo_checkpoint(&read(&report)),
-            "report must match modulo checkpoint block at {threads} threads"
+            "report must match modulo checkpoint block after the {run} resume"
         );
         assert!(
             read(&report).contains("\"resumed_from_cycle\":"),
@@ -147,7 +145,7 @@ fn tracesim_resume_is_invisible_under_fault_injection() {
 
     let report = dir.join("res.json");
     let out = tracesim()
-        .args(["--gen", "producer-consumer", "--pes", "2", "--threads", "2"])
+        .args(["--gen", "producer-consumer", "--pes", "2"])
         .args(faults)
         .args(["--resume", ck.to_str().unwrap()])
         .args(["--report", report.to_str().unwrap()])
@@ -441,4 +439,134 @@ fn a_checkpoint_written_by_an_earlier_build_still_resumes() {
     );
     let diff = pim_tracer::report_diff(&read(&full), &resumed, 10);
     assert_eq!(diff.differences, 0, "{}", diff.text);
+}
+
+#[test]
+fn a_pe_parked_on_a_lock_in_an_earlier_builds_checkpoint_resumes() {
+    // `tests/data/lock-churn-pe3.ck` was written by tracesim at commit
+    // 680f4d9, whose PIM replays ran on a parallel engine with its own
+    // checkpoint layout, with
+    //   tracesim --gen lock-churn --pes 3 --capacity 256 --report r.json \
+    //            --checkpoint lock-churn-pe3.ck:every=7000
+    // Its last snapshot was cut while PE 2 was parked on a lock held by
+    // PE 1. Today's tracesim must convert that layout and resume to the
+    // report of an uninterrupted run.
+    let dir = tmpdir("earlier_build_parked");
+    let ck = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/lock-churn-pe3.ck");
+    let run = ["--gen", "lock-churn", "--pes", "3", "--capacity", "256"];
+    let full = dir.join("full.json");
+    let resumed = dir.join("resumed.json");
+    let out = tracesim()
+        .args(run)
+        .args(["--report", full.to_str().unwrap()])
+        .output()
+        .expect("tracesim runs");
+    assert_ok(&out);
+    let full_stdout = out.stdout;
+    let out = tracesim()
+        .args(run)
+        .args(["--resume", ck.to_str().unwrap()])
+        .args(["--report", resumed.to_str().unwrap()])
+        .output()
+        .expect("tracesim runs");
+    assert_ok(&out);
+    assert_eq!(out.stdout, full_stdout, "resumed stdout must match");
+    let resumed = read(&resumed);
+    assert!(
+        resumed.contains("\"resumed_from_cycle\": 15699,"),
+        "the run must resume from the snapshot's cycle:\n{resumed}"
+    );
+    let diff = pim_tracer::report_diff(&read(&full), &resumed, 10);
+    assert_eq!(diff.differences, 0, "{}", diff.text);
+}
+
+/// Splits a checkpoint payload into `(name, body)` sections.
+fn sections(payload: &[u8]) -> Vec<(String, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < payload.len() {
+        let n = u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+        let name = String::from_utf8(payload[at + 4..at + 4 + n].to_vec()).unwrap();
+        at += 4 + n;
+        let len = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+        out.push((name, payload[at + 8..at + 8 + len].to_vec()));
+        at += 8 + len;
+    }
+    out
+}
+
+/// Frames `(name, body)` sections as a complete, checksummed
+/// `pim-ckpt/v1` file.
+fn frame(sections: &[(String, Vec<u8>)]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for (name, body) in sections {
+        payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        payload.extend_from_slice(name.as_bytes());
+        payload.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        payload.extend_from_slice(body);
+    }
+    let mut file = pim_ckpt::MAGIC.to_vec();
+    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file.extend_from_slice(&payload);
+    file.extend_from_slice(&pim_ckpt::fnv1a64(&payload).to_le_bytes());
+    file
+}
+
+#[test]
+fn a_truncated_or_unknown_engine_section_is_refused() {
+    // Well-framed files (valid magic, length and checksum) whose engine
+    // section is cut short or carries a name no build wrote: the
+    // refusal must be a named decode error, in both the earlier and
+    // the current layout.
+    let dir = tmpdir("engine_section");
+    let report = dir.join("r.json");
+    let run = [
+        "--gen",
+        "lock-churn",
+        "--pes",
+        "3",
+        "--capacity",
+        "256",
+        "--report",
+        report.to_str().unwrap(),
+    ];
+    let legacy =
+        std::fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/lock-churn-pe3.ck"))
+            .unwrap();
+    let current_ck = dir.join("current.ck");
+    let out = tracesim()
+        .args(run)
+        .args([
+            "--checkpoint",
+            &format!("{}:every=7000", current_ck.display()),
+        ])
+        .output()
+        .expect("tracesim runs");
+    assert_ok(&out);
+    let current = std::fs::read(&current_ck).unwrap();
+
+    for (layout, file) in [("earlier", legacy), ("current", current)] {
+        let original = sections(pim_ckpt::read_file_bytes(&file).unwrap());
+        let engine = original
+            .iter()
+            .position(|(name, _)| name.starts_with("engine"))
+            .expect("an engine section");
+        let mut truncated = original.clone();
+        let body = &mut truncated[engine].1;
+        body.truncate(body.len() / 2);
+        let mut unknown = original.clone();
+        unknown[engine].0 = "engine/v9".into();
+        for (what, variant) in [("truncated", truncated), ("unknown", unknown)] {
+            let bad = dir.join(format!("{layout}-{what}.ck"));
+            std::fs::write(&bad, frame(&variant)).unwrap();
+            let out = tracesim()
+                .args(run)
+                .args(["--resume", bad.to_str().unwrap()])
+                .output()
+                .expect("tracesim runs");
+            assert_refused(&out, &format!("{layout} layout, {what} engine section"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("corrupt checkpoint"), "{stderr}");
+        }
+    }
 }

@@ -199,6 +199,36 @@ fn kl1run_rejects_zero_threads_with_named_flag() {
 }
 
 #[test]
+fn threads_flag_is_a_named_error_on_both_tools() {
+    // Both tools run one sequential engine; `--threads` of any value is
+    // refused up front and points at the tools that do use more cores.
+    for value in ["0", "1", "2", "8"] {
+        for (tool, out) in [
+            (
+                "tracesim",
+                tracesim()
+                    .args(["--gen", "aurora", "--threads", value])
+                    .output()
+                    .expect("runs"),
+            ),
+            (
+                "kl1run",
+                kl1run()
+                    .args(["--threads", value, "examples/fghc/hanoi.fghc"])
+                    .output()
+                    .expect("runs"),
+            ),
+        ] {
+            assert_eq!(out.status.code(), Some(2), "{tool} --threads {value}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("--threads"), "{tool}: {stderr}");
+            assert!(stderr.contains("repro"), "{tool}: {stderr}");
+            assert!(out.stdout.is_empty(), "{tool} ran before refusing");
+        }
+    }
+}
+
+#[test]
 fn tracesim_rejects_too_small_pes_instead_of_clamping() {
     // The trace references PE 3; an explicit --pes 2 must be an error
     // naming the flag and the needed minimum, not a silent clamp.
@@ -239,13 +269,13 @@ fn tracesim_rejects_zero_pes_and_threads() {
 }
 
 #[test]
-fn tracesim_reports_are_identical_across_thread_counts() {
+fn tracesim_reports_are_identical_from_run_to_run() {
     let dir = std::env::temp_dir().join("tracesim_cli_test4");
     std::fs::create_dir_all(&dir).unwrap();
-    let report = |threads: &str| {
-        let path = dir.join(format!("report-{threads}.json"));
+    let report = |run: &str| {
+        let path = dir.join(format!("report-{run}.json"));
         let out = tracesim()
-            .args(["--gen", "lock-churn", "--pes", "4", "--threads", threads])
+            .args(["--gen", "lock-churn", "--pes", "4"])
             .args(["--report", path.to_str().unwrap()])
             .output()
             .expect("runs");
@@ -259,12 +289,10 @@ fn tracesim_reports_are_identical_across_thread_counts() {
             std::fs::read_to_string(&path).unwrap(),
         )
     };
-    let (out1, rep1) = report("1");
-    for threads in ["2", "8"] {
-        let (out_n, rep_n) = report(threads);
-        assert_eq!(out_n, out1, "stdout diverged at {threads} threads");
-        assert_eq!(rep_n, rep1, "report diverged at {threads} threads");
-    }
+    let (out1, rep1) = report("first");
+    let (out2, rep2) = report("second");
+    assert_eq!(out2, out1, "stdout diverged between runs");
+    assert_eq!(rep2, rep1, "report diverged between runs");
     assert!(rep1.contains("\"schema\": \"pim-repro/v1\""), "{rep1}");
 }
 
@@ -286,13 +314,13 @@ fn tracesim_rejects_malformed_traces() {
 }
 
 #[test]
-fn tracesim_fault_injection_is_deterministic_across_threads() {
+fn tracesim_fault_injection_is_deterministic_from_run_to_run() {
     let dir = std::env::temp_dir().join("tracesim_cli_faults");
     std::fs::create_dir_all(&dir).unwrap();
-    let report = |threads: &str| {
-        let path = dir.join(format!("report-{threads}.json"));
+    let report = |run: &str| {
+        let path = dir.join(format!("report-{run}.json"));
         let out = tracesim()
-            .args(["--gen", "lock-churn", "--pes", "4", "--threads", threads])
+            .args(["--gen", "lock-churn", "--pes", "4"])
             .args(["--faults", "seed=7,rate=0.01"])
             .args(["--report", path.to_str().unwrap()])
             .output()
@@ -307,14 +335,12 @@ fn tracesim_fault_injection_is_deterministic_across_threads() {
             std::fs::read_to_string(&path).unwrap(),
         )
     };
-    let (out1, rep1) = report("1");
+    let (out1, rep1) = report("first");
     assert!(out1.contains("faults:"), "{out1}");
     assert!(rep1.contains("\"fault_plan\""), "{rep1}");
-    for threads in ["2", "8"] {
-        let (out_n, rep_n) = report(threads);
-        assert_eq!(out_n, out1, "stdout diverged at {threads} threads");
-        assert_eq!(rep_n, rep1, "report diverged at {threads} threads");
-    }
+    let (out2, rep2) = report("second");
+    assert_eq!(out2, out1, "stdout diverged between runs");
+    assert_eq!(rep2, rep1, "report diverged between runs");
 }
 
 #[test]
@@ -330,7 +356,7 @@ fn tracesim_rejects_bad_fault_specs() {
 #[test]
 fn kl1run_completes_under_fault_injection() {
     // Faults are timing-only: the answer must match the fault-free run
-    // at every thread count and the stats line must account for them.
+    // on every run and the stats line must account for them.
     let run = |args: &[&str]| {
         let mut cmd = kl1run();
         cmd.args(args).arg("examples/fghc/hanoi.fghc");
@@ -349,25 +375,18 @@ fn kl1run_completes_under_fault_injection() {
     let (faulty, stderr) = run(&["--pes", "2", "--stats", "--faults", "seed=7,rate=0.02"]);
     assert_eq!(faulty, clean);
     assert!(stderr.contains("faults:"), "{stderr}");
-    let (par, _) = run(&[
-        "--pes",
-        "2",
-        "--threads",
-        "2",
-        "--faults",
-        "seed=7,rate=0.02",
-    ]);
-    assert_eq!(par, clean);
+    let (again, _) = run(&["--pes", "2", "--faults", "seed=7,rate=0.02"]);
+    assert_eq!(again, clean);
 }
 
 #[test]
-fn tracesim_trace_files_are_byte_identical_across_threads() {
+fn tracesim_trace_files_are_byte_identical_from_run_to_run() {
     let dir = std::env::temp_dir().join("tracesim_cli_trace1");
     std::fs::create_dir_all(&dir).unwrap();
-    let trace = |threads: &str| {
-        let path = dir.join(format!("trace-{threads}.json"));
+    let trace = |run: &str| {
+        let path = dir.join(format!("trace-{run}.json"));
         let out = tracesim()
-            .args(["--gen", "aurora", "--pes", "4", "--threads", threads])
+            .args(["--gen", "aurora", "--pes", "4"])
             .args(["--trace", path.to_str().unwrap()])
             .output()
             .expect("runs");
@@ -378,9 +397,9 @@ fn tracesim_trace_files_are_byte_identical_across_threads() {
         );
         std::fs::read_to_string(&path).unwrap()
     };
-    let t1 = trace("1");
-    let t4 = trace("4");
-    assert_eq!(t1, t4, "trace bytes diverged between --threads 1 and 4");
+    let t1 = trace("first");
+    let t2 = trace("second");
+    assert_eq!(t1, t2, "trace bytes diverged between runs");
     assert!(t1.contains("\"schema\":\"pim-trace/v1\""));
 }
 
@@ -478,11 +497,11 @@ fn kl1run_rejects_bad_trace_destination_before_running() {
 fn tracesim_trace_ring_cap_drops_loudly_and_stays_deterministic() {
     let dir = std::env::temp_dir().join("tracesim_cli_trace2");
     std::fs::create_dir_all(&dir).unwrap();
-    let trace = |threads: &str| {
-        let path = dir.join(format!("capped-{threads}.json"));
+    let trace = |run: &str| {
+        let path = dir.join(format!("capped-{run}.json"));
         let spec = format!("{}:cap=200", path.to_str().unwrap());
         let out = tracesim()
-            .args(["--gen", "lock-churn", "--pes", "4", "--threads", threads])
+            .args(["--gen", "lock-churn", "--pes", "4"])
             .args(["--trace", &spec])
             .output()
             .expect("runs");
@@ -496,9 +515,9 @@ fn tracesim_trace_ring_cap_drops_loudly_and_stays_deterministic() {
         assert!(stderr.contains("trace ring full"), "{stderr}");
         std::fs::read_to_string(&path).unwrap()
     };
-    let t1 = trace("1");
-    let t4 = trace("4");
-    assert_eq!(t1, t4, "capped trace diverged between thread counts");
+    let t1 = trace("first");
+    let t2 = trace("second");
+    assert_eq!(t1, t2, "capped trace diverged between runs");
     let parsed = pim_tracer::Trace::parse(&t1).expect("parses");
     assert_eq!(parsed.recorded, 200);
     assert!(parsed.dropped > 0);

@@ -6,7 +6,7 @@
 use kl1_machine::{Cluster, ClusterConfig};
 use pim_cache::{OptMask, PimSystem, SystemConfig};
 use pim_repro::report;
-use pim_sim::{Engine, IllinoisSystem, MemorySystem, ParallelEngine, Replayer};
+use pim_sim::{Engine, IllinoisSystem, MemorySystem, Replayer};
 use pim_trace::{Access, PeId};
 use proptest::prelude::*;
 use workloads::{Bench, Scale};
@@ -74,16 +74,16 @@ fn run_sys_answer<S: MemorySystem + 'static>(
 }
 
 // ---------------------------------------------------------------------
-// Differential testing: the parallel engine against the sequential one.
+// Run-to-run determinism of the engine.
 //
-// Each workload trace is replayed through both engines; the resulting
-// `pim-repro/v1` report documents must be *byte-identical* at every
-// thread count — determinism down to the serialized artifact, not just
-// the headline numbers.
+// Each workload trace is replayed several times — in one run, in short
+// chunks, and concurrently on several host threads; the resulting
+// `pim-repro/v1` report documents must be *byte-identical* — determinism
+// down to the serialized artifact, not just the headline numbers.
 // ---------------------------------------------------------------------
 
 /// Captures the memory-access trace of a Table-1 benchmark run at smoke
-/// scale on the sequential engine.
+/// scale.
 fn capture_bench_trace(bench: Bench, pes: u32) -> Vec<Access> {
     let program = fghc::compile(bench.source()).unwrap();
     let mut cluster = Cluster::new(
@@ -124,7 +124,9 @@ fn replay_report(sys: &PimSystem, stats: &pim_sim::RunStats) -> String {
     doc.to_string_pretty()
 }
 
-fn replay_sequential(trace: &[Access], pes: u32) -> String {
+/// Replays `trace` in chunks of at most `chunk` engine steps and renders
+/// the final report.
+fn replay(trace: &[Access], pes: u32, chunk: u64) -> String {
     let mut replayer = Replayer::from_merged(trace, pes);
     let mut engine = Engine::new(
         PimSystem::new(SystemConfig {
@@ -133,34 +135,37 @@ fn replay_sequential(trace: &[Access], pes: u32) -> String {
         }),
         pes,
     );
-    let stats = engine.run(&mut replayer, u64::MAX).expect("fault-free run");
-    assert!(stats.finished);
-    replay_report(engine.system(), &stats)
+    loop {
+        let stats = engine.run(&mut replayer, chunk).expect("fault-free run");
+        if stats.finished {
+            return replay_report(engine.system(), &stats);
+        }
+    }
 }
 
-fn replay_parallel(trace: &[Access], pes: u32, threads: usize) -> String {
-    let mut replayer = Replayer::from_merged(trace, pes);
-    let mut engine = ParallelEngine::new(
-        PimSystem::new(SystemConfig {
-            pes,
-            ..Default::default()
-        }),
-        pes,
-    );
-    engine.set_threads(threads);
-    let stats = engine.run(&mut replayer, u64::MAX).expect("fault-free run");
-    assert!(stats.finished);
-    replay_report(engine.system(), &stats)
-}
-
+/// Replays `trace` once for reference, once cut into short chunks, and
+/// then on 1, 2 and 4 host threads at once — the cell-level parallelism
+/// of `repro --threads` and `sweeprun --threads`, where independent
+/// replays share one process. Every report must be byte-identical.
 fn assert_replay_identical(label: &str, trace: &[Access], pes: u32) {
-    let reference = replay_sequential(trace, pes);
-    for threads in [1usize, 2, 4, 8] {
-        let parallel = replay_parallel(trace, pes, threads);
-        assert_eq!(
-            parallel, reference,
-            "{label}: report diverged from sequential at {threads} threads"
-        );
+    let reference = replay(trace, pes, u64::MAX);
+    let chunked = replay(trace, pes, 997);
+    assert_eq!(chunked, reference, "{label}: chunked run diverged");
+    for threads in [1usize, 2, 4] {
+        let reports: Vec<String> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..threads)
+                .map(|_| s.spawn(|| replay(trace, pes, u64::MAX)))
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().expect("replay thread"))
+                .collect()
+        });
+        for report in reports {
+            assert_eq!(
+                report, reference,
+                "{label}: report diverged with {threads} concurrent replays"
+            );
+        }
     }
 }
 
